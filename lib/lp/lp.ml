@@ -85,9 +85,10 @@ let copy p =
 
 (** [set_bounds p v ~lo ~hi] tightens the bounds of [v] in place — the
     model-level path (forces a fresh lowering; branch-and-bound uses
-    {!set_bounds_compiled} instead). *)
+    {!set_bounds_compiled} instead). Like {!add_var}, rejects
+    [lo > hi]. *)
 let set_bounds p v ~lo ~hi =
-  if v < 0 || v >= p.nvars then invalid_arg "Lp.set_bounds";
+  if v < 0 || v >= p.nvars || lo > hi then invalid_arg "Lp.set_bounds";
   let rec update i = function
     | [] -> []
     | x :: rest -> if i = 0 then lo :: rest else x :: update (i - 1) rest
@@ -103,6 +104,7 @@ let set_bounds p v ~lo ~hi =
 
 (** [bounds p v] reads the current bounds of [v]. *)
 let bounds p v =
+  if v < 0 || v >= p.nvars then invalid_arg "Lp.bounds";
   let idx = p.nvars - 1 - v in
   (List.nth p.lo idx, List.nth p.hi idx)
 

@@ -51,10 +51,12 @@ val copy : problem -> problem
 
 (** [set_bounds p v ~lo ~hi] tightens the bounds of [v] in place — the
     model-level path (the next [solve] re-lowers; branch-and-bound uses
-    {!set_bounds_compiled}). *)
+    {!set_bounds_compiled}). Raises [Invalid_argument] for an undeclared
+    [v] or [lo > hi], as {!add_var} does. *)
 val set_bounds : problem -> var -> lo:float -> hi:float -> unit
 
-(** [bounds p v] reads the current bounds of [v]. *)
+(** [bounds p v] reads the current bounds of [v]. Raises
+    [Invalid_argument] for an undeclared [v]. *)
 val bounds : problem -> var -> float * float
 
 (** A model lowered to standard form once, with reusable solver state:

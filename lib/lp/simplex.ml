@@ -1,5 +1,5 @@
-(** Two-phase primal simplex with dual-simplex warm restarts on a dense
-    flat tableau.
+(** Two-phase primal simplex with dual-simplex warm restarts on a
+    row-major tableau with sparse pivot-row elimination.
 
     Solves [min c·y  s.t.  A y = b, y >= 0]. Rows are sign-fixed
     internally so any [b] is accepted. Artificial variables are appended
@@ -23,9 +23,17 @@
     dual stall, or a failed certificate) it falls back to the cold
     two-phase primal path.
 
-    The tableau is a single row-major [float array] — (m+1) rows of a
-    fixed [stride] — rather than an array of rows, for cache locality
-    in the pivot inner loop.
+    The tableau is stored densely as a single row-major [float array] —
+    (m+1) rows of a fixed [stride] — rather than an array of rows, for
+    cache locality in the pivot inner loop. The work is sparse, though:
+    a pivot gathers the nonzero columns of the pivot row once and
+    eliminates every other row over those columns only, and warm-verdict
+    certification prices the pristine system through a row index of its
+    nonzeros. Big-M ReLU relaxations touch a few columns per row, so
+    both skip most of the flops a dense sweep would spend multiplying
+    exact zeros. Skipping an exact zero changes at most the sign of a
+    zero entry, which no comparison or division reads, so pivot choices
+    and verdicts are those of the dense sweep.
 
     This is the computational core under {!Lp} and, transitively, under
     the branch-and-bound MILP solver that plays the role of the paper's
@@ -94,6 +102,20 @@ type state = {
           (slack/surplus shape) — lets certification factorise the basis
           by singleton reduction instead of a full m×m LU *)
   basis0 : (int * float) option array;  (** marker column + sign per row *)
+  row_start : int array;
+      (** row index of [sa]'s nonzeros: row [i]'s entries sit at
+          positions [row_start.(i)] .. [row_start.(i+1) − 1] of
+          [row_col] / [row_val] *)
+  row_col : int array;
+  row_val : float array;
+  col_start : int array;
+      (** column index of [sa]'s nonzeros, laid out like the row index *)
+  col_row : int array;
+  col_val : float array;
+  nz : int array;
+      (** scratch for {!pivot}: the pivot row's nonzero columns. Never
+          shared — {!copy_state} allocates a fresh one, since parallel
+          branch-and-bound workers pivot their copies concurrently *)
   mutable tab : float array;  (** working tableau, (m+1)×stride row-major *)
   rhs : float array;  (** m+1 entries; [rhs.(m)] = −objective *)
   basis : int array;  (** basic variable per row *)
@@ -125,6 +147,43 @@ let make ~a ~b ~c ~basis0 =
   for i = 0 to m - 1 do
     Array.blit a.(i) 0 sa (i * n) n
   done;
+  (* Row and column indexes of [sa]'s nonzeros, in ascending order:
+     count per row and column, then fill both in one row-major sweep. *)
+  let row_start = Array.make (m + 1) 0 in
+  let col_start = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      if sa.((i * n) + j) <> 0. then begin
+        row_start.(i + 1) <- row_start.(i + 1) + 1;
+        col_start.(j + 1) <- col_start.(j + 1) + 1
+      end
+    done
+  done;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+  done;
+  for j = 0 to n - 1 do
+    col_start.(j + 1) <- col_start.(j + 1) + col_start.(j)
+  done;
+  let nnz = row_start.(m) in
+  let row_col = Array.make nnz 0 and row_val = Array.make nnz 0. in
+  let col_row = Array.make nnz 0 and col_val = Array.make nnz 0. in
+  let col_next = Array.copy col_start in
+  let p = ref 0 in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let v = sa.((i * n) + j) in
+      if v <> 0. then begin
+        row_col.(!p) <- j;
+        row_val.(!p) <- v;
+        incr p;
+        let q = col_next.(j) in
+        col_row.(q) <- i;
+        col_val.(q) <- v;
+        col_next.(j) <- q + 1
+      end
+    done
+  done;
   (* Artificial-column capacity starts at the marker-less row count
      (those always need one); {!cold_build} grows it on demand when
      rhs changes unseat marker seedings. Keeping the stride tight —
@@ -139,16 +198,9 @@ let make ~a ~b ~c ~basis0 =
   let stride = max 1 (n + art0) in
   let singleton =
     Array.init n (fun j ->
-        let row = ref (-1) and coeff = ref 0. and cnt = ref 0 in
-        for i = 0 to m - 1 do
-          let v = sa.((i * n) + j) in
-          if v <> 0. then begin
-            incr cnt;
-            row := i;
-            coeff := v
-          end
-        done;
-        if !cnt = 1 then Some (!row, !coeff) else None)
+        let p = col_start.(j) in
+        if col_start.(j + 1) - p = 1 then Some (col_row.(p), col_val.(p))
+        else None)
   in
   {
     m;
@@ -159,6 +211,14 @@ let make ~a ~b ~c ~basis0 =
     sc = Array.copy c;
     singleton;
     basis0 = Array.copy basis0;
+    row_start;
+    row_col;
+    row_val;
+    col_start;
+    col_row;
+    col_val;
+    (* Active columns never exceed n + m (one artificial per row). *)
+    nz = Array.make (max 1 (n + m)) 0;
     tab = Array.make ((m + 1) * stride) 0.;
     rhs = Array.make (m + 1) 0.;
     basis = Array.make (max 1 m) 0;
@@ -180,6 +240,7 @@ let copy_state st =
     dw = Array.copy st.dw;
     rowsign = Array.copy st.rowsign;
     art_row = Array.copy st.art_row;
+    nz = Array.make (Array.length st.nz) 0;
   }
 
 (** [set_rhs st ~row v] replaces row [row]'s raw right-hand side. When
@@ -206,26 +267,40 @@ let set_rhs st ~row v =
     end
   end
 
-(* The pivot's O(m·n) elimination is the solver's hottest loop — use
+(* The pivot's elimination is the solver's hottest loop — use
    unchecked accesses (indices are bounded by [m]/[ncols] ≤ allocated
-   extents by construction). *)
+   extents by construction). Scaling the pivot row gathers its nonzero
+   columns into [nz]; every other row is then updated over those
+   columns only. A skipped column's pivot-row entry is an exact zero,
+   so its dense update [t − factor·0] could only have flipped the sign
+   of a zero [t]: every other entry gets the same float operations in
+   the same order as a dense sweep. *)
 let pivot st ~row ~col =
   Cv_util.Metrics.incr m_pivots;
   let w = st.ncols in
   let tab = st.tab in
   let rhs = st.rhs in
+  let nz = st.nz in
   let base = row * st.stride in
   let inv = 1. /. Array.unsafe_get tab (base + col) in
+  let k = ref 0 in
   for j = 0 to w - 1 do
-    Array.unsafe_set tab (base + j) (Array.unsafe_get tab (base + j) *. inv)
+    let v = Array.unsafe_get tab (base + j) *. inv in
+    Array.unsafe_set tab (base + j) v;
+    if v <> 0. then begin
+      Array.unsafe_set nz !k j;
+      incr k
+    end
   done;
+  let k = !k in
   Array.unsafe_set rhs row (Array.unsafe_get rhs row *. inv);
   for i = 0 to st.m do
     if i <> row then begin
       let ib = i * st.stride in
       let factor = Array.unsafe_get tab (ib + col) in
       if factor <> 0. then begin
-        for j = 0 to w - 1 do
+        for t = 0 to k - 1 do
+          let j = Array.unsafe_get nz t in
           Array.unsafe_set tab (ib + j)
             (Array.unsafe_get tab (ib + j)
             -. (factor *. Array.unsafe_get tab (base + j)))
@@ -528,6 +603,10 @@ type lu = {
   d : int;  (** kernel dimension *)
   krows : int array;  (** kernel row indices *)
   kpos : int array;  (** kernel basis positions *)
+  kcol : int array;
+      (** per structural column: its kernel index when it is a basic
+          non-singleton column, else −1 *)
+  taken : bool array;  (** per row: eliminated by a basic singleton *)
   lum : float array;  (** d×d row-major, packed L\U of the kernel *)
   perm : int array;  (** kernel row permutation *)
   elim : (int * int * float) array;
@@ -535,8 +614,10 @@ type lu = {
 }
 
 (* Factorise the current basis against the pristine [sa]: singleton
-   reduction, then dense LU with partial pivoting on the kernel. [None]
-   when the basis holds an artificial column or is numerically
+   reduction, then LU with partial pivoting on the kernel, stored
+   densely but eliminated over each pivot row's nonzeros only (as in
+   {!pivot}, skipping exact zeros can only change the sign of a zero).
+   [None] when the basis holds an artificial column or is numerically
    singular. *)
 let lu_factor st =
   let m = st.m in
@@ -569,13 +650,17 @@ let lu_factor st =
     done;
     if Array.length kpos <> d || !ki <> d then None
     else begin
+      let kcol = Array.make (max 1 st.n) (-1) in
+      Array.iteri (fun c k -> kcol.(st.basis.(k)) <- c) kpos;
       let lum = Array.make (max 1 (d * d)) 0. in
       for i = 0 to d - 1 do
-        let rb = krows.(i) * st.n in
-        for c = 0 to d - 1 do
-          lum.((i * d) + c) <- st.sa.(rb + st.basis.(kpos.(c)))
+        let r = krows.(i) in
+        for p = st.row_start.(r) to st.row_start.(r + 1) - 1 do
+          let c = kcol.(st.row_col.(p)) in
+          if c >= 0 then lum.((i * d) + c) <- st.row_val.(p)
         done
       done;
+      let nz = Array.make (max 1 d) 0 in
       let amax =
         Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0. lum
       in
@@ -600,18 +685,35 @@ let lu_factor st =
             perm.(!p) <- t
           end;
           let piv = lum.((k * d) + k) in
+          let cnt = ref 0 in
+          for j = k + 1 to d - 1 do
+            if lum.((k * d) + j) <> 0. then begin
+              nz.(!cnt) <- j;
+              incr cnt
+            end
+          done;
           for i = k + 1 to d - 1 do
             let f = lum.((i * d) + k) /. piv in
             lum.((i * d) + k) <- f;
             if f <> 0. then
-              for j = k + 1 to d - 1 do
+              for t = 0 to !cnt - 1 do
+                let j = nz.(t) in
                 lum.((i * d) + j) <-
                   lum.((i * d) + j) -. (f *. lum.((k * d) + j))
               done
           done
         done;
         Some
-          { d; krows; kpos; lum; perm; elim = Array.of_list (List.rev !elim) }
+          {
+            d;
+            krows;
+            kpos;
+            kcol;
+            taken = rowtaken;
+            lum;
+            perm;
+            elim = Array.of_list (List.rev !elim);
+          }
       with Exit -> None
     end
   end
@@ -662,69 +764,68 @@ let kernel_solve_t { d; lum; perm; _ } rhs =
 (* Solve [B x = b]; [x] is indexed by basis {e position}. Kernel rows
    involve kernel columns only (every basic singleton lives in its own
    eliminated row), so solve the kernel first and back-substitute each
-   eliminated row's variable. *)
+   eliminated row's variable. The back-substitution walks each kernel
+   column's nonzeros in kernel order, so every eliminated row
+   accumulates its nonzero terms in the order of a dense row sweep. *)
 let lu_solve st lu b =
   let x = Array.make (max 1 st.m) 0. in
   let rhs_k = Array.init lu.d (fun i -> b.(lu.krows.(i))) in
   let xk = kernel_solve lu rhs_k in
+  let acc = Array.copy b in
   for c = 0 to lu.d - 1 do
-    x.(lu.kpos.(c)) <- xk.(c)
+    x.(lu.kpos.(c)) <- xk.(c);
+    let col = st.basis.(lu.kpos.(c)) in
+    for p = st.col_start.(col) to st.col_start.(col + 1) - 1 do
+      let r = st.col_row.(p) in
+      if lu.taken.(r) then acc.(r) <- acc.(r) -. (st.col_val.(p) *. xk.(c))
+    done
   done;
-  Array.iter
-    (fun (r, pos, coeff) ->
-      let acc = ref b.(r) in
-      let rb = r * st.n in
-      for c = 0 to lu.d - 1 do
-        acc := !acc -. (st.sa.(rb + st.basis.(lu.kpos.(c))) *. xk.(c))
-      done;
-      x.(pos) <- !acc /. coeff)
-    lu.elim;
+  Array.iter (fun (r, pos, coeff) -> x.(pos) <- acc.(r) /. coeff) lu.elim;
   x
 
 (* Solve [B' y = c]; [c] is indexed by basis position, [y] by row. Each
    eliminated row's multiplier comes straight from its singleton column;
-   the kernel multipliers then solve the reduced transpose system. *)
+   the kernel multipliers then solve the reduced transpose system, whose
+   right-hand side subtracts the eliminated rows' nonzeros in [elim]
+   order — the order of a dense per-column sweep. *)
 let lu_solve_t st lu c =
   let y = Array.make (max 1 st.m) 0. in
   Array.iter (fun (r, pos, coeff) -> y.(r) <- c.(pos) /. coeff) lu.elim;
-  let rhs_k =
-    Array.init lu.d (fun ci ->
-        let col = st.basis.(lu.kpos.(ci)) in
-        let acc = ref c.(lu.kpos.(ci)) in
-        Array.iter
-          (fun (r, _, _) -> acc := !acc -. (st.sa.((r * st.n) + col) *. y.(r)))
-          lu.elim;
-        !acc)
-  in
+  let rhs_k = Array.init lu.d (fun ci -> c.(lu.kpos.(ci))) in
+  Array.iter
+    (fun (r, _, _) ->
+      for p = st.row_start.(r) to st.row_start.(r + 1) - 1 do
+        let ci = lu.kcol.(st.row_col.(p)) in
+        if ci >= 0 then
+          rhs_k.(ci) <- rhs_k.(ci) -. (st.row_val.(p) *. y.(r))
+      done)
+    lu.elim;
   let yk = kernel_solve_t lu rhs_k in
   for i = 0 to lu.d - 1 do
     y.(lu.krows.(i)) <- yk.(i)
   done;
   y
 
-(* [y] prices every pristine column to a non-negative reduced cost
-   (within a relative noise floor): [y] is dual-feasible. All columns
-   are priced in one row-major sweep of [sa] (accumulators per column)
-   — the column-at-a-time order would stride through [sa] and miss
-   cache on every access. *)
-let dual_feasible st y =
-  let n = st.n in
-  let sa = st.sa in
-  let acc = Array.init n (fun j -> st.sc.(j)) in
-  let scale = Array.init n (fun j -> Float.abs st.sc.(j)) in
+(* [cost − y·A_j ≥ 0] for every pristine column [j], within a relative
+   noise floor (with [cost = sc]: [y] is dual-feasible). All columns
+   are priced in one row-major sweep over the row index of [sa]
+   (accumulators per column), nonzeros only — the column-at-a-time
+   order would stride through [sa] and miss cache on every access. *)
+let prices_nonneg st ~cost y =
+  let acc = Array.copy cost in
+  let scale = Array.map Float.abs cost in
   for i = 0 to st.m - 1 do
     let yi = Array.unsafe_get y i in
-    if yi <> 0. then begin
-      let base = i * n in
-      for j = 0 to n - 1 do
-        let t = yi *. Array.unsafe_get sa (base + j) in
+    if yi <> 0. then
+      for p = st.row_start.(i) to st.row_start.(i + 1) - 1 do
+        let j = Array.unsafe_get st.row_col p in
+        let t = yi *. Array.unsafe_get st.row_val p in
         Array.unsafe_set acc j (Array.unsafe_get acc j -. t);
         Array.unsafe_set scale j (Array.unsafe_get scale j +. Float.abs t)
       done
-    end
   done;
   let ok = ref true in
-  for j = 0 to n - 1 do
+  for j = 0 to st.n - 1 do
     if Array.unsafe_get acc j < -1e-7 *. (1. +. Array.unsafe_get scale j)
     then ok := false
   done;
@@ -746,7 +847,7 @@ let certify_warm st verdict =
       else begin
         let cb = basic_cost () in
         let y = lu_solve_t st lu cb in
-        if not (dual_feasible st y) then None
+        if not (prices_nonneg st ~cost:st.sc y) then None
         else begin
           let o = ref 0. in
           for k = 0 to st.m - 1 do
@@ -760,7 +861,7 @@ let certify_warm st verdict =
     | `Limited limit ->
       let cb = basic_cost () in
       let y = lu_solve_t st lu cb in
-      if not (dual_feasible st y) then None
+      if not (prices_nonneg st ~cost:st.sc y) then None
       else begin
         let dv = ref 0. in
         for i = 0 to st.m - 1 do
@@ -782,28 +883,9 @@ let certify_warm st verdict =
       let e = Array.make (max 1 st.m) 0. in
       e.(row) <- 1.;
       let z = lu_solve_t st lu e in
-      (* Farkas pricing in one row-major sweep, like {!dual_feasible}. *)
-      let n = st.n in
-      let sa = st.sa in
-      let acc = Array.make n 0. in
-      let scale = Array.make n 0. in
-      for i = 0 to st.m - 1 do
-        let zi = Array.unsafe_get z i in
-        if zi <> 0. then begin
-          let base = i * n in
-          for j = 0 to n - 1 do
-            let t = zi *. Array.unsafe_get sa (base + j) in
-            Array.unsafe_set acc j (Array.unsafe_get acc j +. t);
-            Array.unsafe_set scale j (Array.unsafe_get scale j +. Float.abs t)
-          done
-        end
-      done;
-      let ok = ref true in
-      for j = 0 to n - 1 do
-        if Array.unsafe_get acc j < -1e-7 *. (1. +. Array.unsafe_get scale j)
-        then ok := false
-      done;
-      if not !ok then None
+      (* Farkas pricing: [z·A_j ≥ 0] is [0 − (−z)·A_j ≥ 0]. *)
+      let zero = Array.make st.n 0. in
+      if not (prices_nonneg st ~cost:zero (Array.map Float.neg z)) then None
       else begin
         let zb = ref 0. and zscale = ref 0. in
         for i = 0 to st.m - 1 do

@@ -1,6 +1,8 @@
-(** Two-phase primal simplex with dual-simplex warm restarts on a dense
-    flat (row-major) tableau: solves [min c·y  s.t.  A y = b, y >= 0]
-    (rows are sign-fixed internally). Dantzig pivoting with an automatic
+(** Two-phase primal simplex with dual-simplex warm restarts on a
+    row-major tableau: solves [min c·y  s.t.  A y = b, y >= 0] (rows are
+    sign-fixed internally). Pivots eliminate over the pivot row's
+    nonzeros only, and warm verdicts are certified through nonzero
+    indexes of the pristine system. Dantzig pivoting with an automatic
     switch to Bland's rule for termination. The computational core under
     {!Lp}. *)
 
@@ -33,7 +35,9 @@ val make :
   state
 
 (** [copy_state st] is an independent state (shares the immutable
-    pristine system, copies the working tableau and warm basis). *)
+    pristine system and its nonzero indexes, copies the working tableau
+    and warm basis, and allocates its own pivot scratch, so copies can
+    be solved on parallel domains). *)
 val copy_state : state -> state
 
 (** [set_rhs st ~row v] replaces row [row]'s raw right-hand side. On a

@@ -57,3 +57,71 @@ let mat_gen rows cols =
 let vec_gen n =
   QCheck.Gen.map Array.of_list
     (QCheck.Gen.list_size (QCheck.Gen.return n) entry_gen)
+
+(* ------------------------------------------------------------------ *)
+(* Sparse big-M LPs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The LP relaxation of a seeded two-hidden-layer ReLU net's big-M
+   encoding (cf. Cv_milp.Relu_encoding): inputs in [-1, 1], each hidden
+   neuron reads two or three units of the previous layer, and every
+   unstable neuron gets a post-activation [y ∈ [0, u]], a relaxed
+   binary [d ∈ [0, 1]] and the rows [y ≥ z], [y ≤ z − l(1 − d)],
+   [y ≤ u·d]. Rows touch at most five of ~100 columns, the
+   mostly-zero shape of the verifier's MILP relaxations. The objective
+   maximises a seeded combination of the last layer. Equal seeds give
+   identical models, so a compiled instance can be compared against
+   fresh lowerings. *)
+type bigm = {
+  lp : Cv_lp.Lp.problem;
+  binaries : Cv_lp.Lp.var array;  (** the relaxed [d] of each unstable neuron *)
+}
+
+let bigm_lp seed =
+  let rng = Cv_util.Rng.create seed in
+  let lp = Cv_lp.Lp.create () in
+  let inputs =
+    Array.init 4 (fun _ -> (Cv_lp.Lp.add_var lp ~lo:(-1.) ~hi:1. (), -1., 1.))
+  in
+  let binaries = ref [] in
+  let layer prev width =
+    Array.init width (fun _ ->
+        let fan = 2 + Cv_util.Rng.int rng 2 in
+        let reads =
+          List.init fan (fun _ ->
+              (Cv_util.Rng.float rng ~lo:(-1.) ~hi:1.,
+               prev.(Cv_util.Rng.int rng (Array.length prev))))
+        in
+        let b = Cv_util.Rng.float rng ~lo:(-0.2) ~hi:0.2 in
+        (* Interval bounds of z = Σ w·v + b over the readers' boxes. *)
+        let l, u =
+          List.fold_left
+            (fun (l, u) (w, (_, vl, vu)) ->
+              ( l +. Float.min (w *. vl) (w *. vu),
+                u +. Float.max (w *. vl) (w *. vu) ))
+            (b, b) reads
+        in
+        let zterms = List.map (fun (w, (v, _, _)) -> (-.w, v)) reads in
+        if l >= 0. then begin
+          let y = Cv_lp.Lp.add_var lp ~lo:0. ~hi:u () in
+          Cv_lp.Lp.add_constraint lp ((1., y) :: zterms) Cv_lp.Lp.Eq b;
+          (y, 0., u)
+        end
+        else if u <= 0. then (Cv_lp.Lp.add_var lp ~lo:0. ~hi:0. (), 0., 0.)
+        else begin
+          let y = Cv_lp.Lp.add_var lp ~lo:0. ~hi:u () in
+          let d = Cv_lp.Lp.add_var lp ~lo:0. ~hi:1. () in
+          binaries := d :: !binaries;
+          Cv_lp.Lp.add_constraint lp ((1., y) :: zterms) Cv_lp.Lp.Ge b;
+          Cv_lp.Lp.add_constraint lp
+            ((1., y) :: (-.l, d) :: zterms)
+            Cv_lp.Lp.Le (b -. l);
+          Cv_lp.Lp.add_constraint lp [ (1., y); (-.u, d) ] Cv_lp.Lp.Le 0.;
+          (y, 0., u)
+        end)
+  in
+  let h2 = layer (layer inputs 7) 6 in
+  Cv_lp.Lp.set_objective lp ~maximize:true
+    (Array.to_list
+       (Array.map (fun (y, _, _) -> (Cv_util.Rng.float rng ~lo:(-1.) ~hi:1., y)) h2));
+  { lp; binaries = Array.of_list (List.rev !binaries) }

@@ -115,6 +115,34 @@ let test_set_bounds_and_copy () =
   | Cv_lp.Lp.Optimal s -> check_float "pinned optimum" 1. s.Cv_lp.Lp.objective
   | _ -> Alcotest.fail "expected optimal"
 
+(* Model-level re-bounding must reject an inverted box the way
+   [add_var] does, instead of silently lowering an infeasible model. *)
+let test_set_bounds_rejects_inverted () =
+  let p = Cv_lp.Lp.create () in
+  let x = Cv_lp.Lp.add_var p ~lo:0. ~hi:10. () in
+  Alcotest.check_raises "lo > hi" (Invalid_argument "Lp.set_bounds")
+    (fun () -> Cv_lp.Lp.set_bounds p x ~lo:2. ~hi:1.);
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "bounds unchanged after rejection" (0., 10.) (Cv_lp.Lp.bounds p x);
+  (* A degenerate box is still a valid fixing. *)
+  Cv_lp.Lp.set_bounds p x ~lo:3. ~hi:3.;
+  match solve_max p [ (1., x) ] with
+  | Cv_lp.Lp.Optimal s -> check_float "fixed optimum" 3. s.Cv_lp.Lp.objective
+  | _ -> Alcotest.fail "expected optimal"
+
+(* Reading the bounds of an undeclared variable is an argument error,
+   not a leaked list-indexing failure. *)
+let test_bounds_rejects_unknown_var () =
+  let p = Cv_lp.Lp.create () in
+  let _x = Cv_lp.Lp.add_var p ~lo:0. ~hi:1. () in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "var %d" v)
+        (Invalid_argument "Lp.bounds")
+        (fun () -> ignore (Cv_lp.Lp.bounds p v)))
+    [ 1; 5; -1 ]
+
 let test_bad_constraint_var () =
   let p = Cv_lp.Lp.create () in
   let _x = Cv_lp.Lp.add_var p ~lo:0. () in
@@ -439,6 +467,146 @@ let test_compiled_matches_fresh () =
   let hits1 = Cv_util.Metrics.value (Cv_util.Metrics.counter "lp.warmstart.hits") in
   Alcotest.(check bool) "warm-start hits recorded" true (hits1 > hits0)
 
+(* Warm certified re-solves against fresh lowerings on the sparse
+   big-M LPs of [Gen.bigm_lp]. A step pins binary [k] (modulo the
+   binary count) to 0 or 1 or releases it, then solves the compiled
+   instance, optionally with a [bound_cutoff] placed [offset] above the
+   fresh optimum. Without a cutoff the verdicts and objectives must
+   agree; with one, the compiled answer may instead be a certified
+   bound in [optimum, cutoff] (an infeasible fresh model admits any
+   bound ≤ cutoff). Each compiled solve is classified by whether it was
+   a warm hit and which certification path answered it. *)
+type bigm_paths = {
+  mutable optimal : int;  (** warm hits answered at the optimum *)
+  mutable limited : int;  (** warm hits that stopped at the cutoff *)
+  mutable farkas : int;  (** warm hits certified infeasible *)
+}
+
+let run_bigm_steps paths seed steps =
+  let g = Gen.bigm_lp seed in
+  let nb = Array.length g.Gen.binaries in
+  nb = 0
+  ||
+  let c = Cv_lp.Lp.compile ~fixable:(Array.to_list g.Gen.binaries) g.Gen.lp in
+  let fixed = Array.make nb None in
+  let hits = Cv_util.Metrics.counter "lp.warmstart.hits" in
+  let tol = 1e-7 in
+  List.for_all
+    (fun (k, fix, offset) ->
+      let k = k mod nb in
+      fixed.(k) <- fix;
+      let lo, hi = match fix with Some v -> (v, v) | None -> (0., 1.) in
+      Cv_lp.Lp.set_bounds_compiled c g.Gen.binaries.(k) ~lo ~hi;
+      let fresh =
+        let g' = Gen.bigm_lp seed in
+        Array.iteri
+          (fun i f ->
+            Option.iter
+              (fun v -> Cv_lp.Lp.set_bounds g'.Gen.lp g'.Gen.binaries.(i) ~lo:v ~hi:v)
+              f)
+          fixed;
+        Cv_lp.Lp.solve g'.Gen.lp
+      in
+      let bound_cutoff =
+        match (offset, fresh) with
+        | Some o, Cv_lp.Lp.Optimal f -> Some (f.Cv_lp.Lp.objective +. o)
+        | Some o, _ -> Some o
+        | None, _ -> None
+      in
+      let hits0 = Cv_util.Metrics.value hits in
+      let warm = Cv_lp.Lp.solve_compiled ?bound_cutoff c in
+      let hit = Cv_util.Metrics.value hits > hits0 in
+      let within_cutoff w =
+        match bound_cutoff with Some t -> w <= t +. tol | None -> false
+      in
+      match (fresh, warm) with
+      | Cv_lp.Lp.Optimal f, Cv_lp.Lp.Optimal w ->
+        let f = f.Cv_lp.Lp.objective and w = w.Cv_lp.Lp.objective in
+        if Float.abs (f -. w) <= tol then begin
+          if hit then paths.optimal <- paths.optimal + 1;
+          true
+        end
+        else begin
+          if hit then paths.limited <- paths.limited + 1;
+          w >= f -. tol && within_cutoff w
+        end
+      | Cv_lp.Lp.Infeasible, Cv_lp.Lp.Infeasible ->
+        if hit then paths.farkas <- paths.farkas + 1;
+        true
+      | Cv_lp.Lp.Infeasible, Cv_lp.Lp.Optimal w ->
+        if hit then paths.limited <- paths.limited + 1;
+        within_cutoff w.Cv_lp.Lp.objective
+      | _ -> false)
+    steps
+
+let bigm_step_gen =
+  QCheck.Gen.(
+    triple (int_bound 63)
+      (frequencyl [ (2, Some 0.); (2, Some 1.); (1, None) ])
+      (frequencyl
+         [ (4, None); (1, Some (-0.25)); (1, Some 0.); (1, Some 1e-3);
+           (1, Some 0.3); (1, Some 2.) ]))
+
+let bigm_warm_matches_fresh_prop =
+  QCheck.Test.make ~name:"big-M LPs: warm certified solves = fresh solves"
+    ~count:40
+    QCheck.(
+      make
+        ~print:(fun (seed, steps) ->
+          Printf.sprintf "seed %d, %d steps" seed (List.length steps))
+        Gen.(pair (int_bound 9999) (list_size (int_range 1 12) bigm_step_gen)))
+    (fun (seed, steps) ->
+      run_bigm_steps { optimal = 0; limited = 0; farkas = 0 } seed steps)
+
+(* The same comparison on fixed seeds, asserting that every warm
+   certification path (optimal, cutoff-limited, Farkas) is exercised. *)
+let test_bigm_certification_paths () =
+  let paths = { optimal = 0; limited = 0; farkas = 0 } in
+  for seed = 1 to 12 do
+    let steps =
+      QCheck.Gen.generate ~n:10 ~rand:(Random.State.make [| seed |]) bigm_step_gen
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d agrees" seed)
+      true
+      (run_bigm_steps paths seed steps)
+  done;
+  Alcotest.(check bool) "optimal path reached" true (paths.optimal > 0);
+  Alcotest.(check bool) "limited path reached" true (paths.limited > 0);
+  Alcotest.(check bool) "Farkas path reached" true (paths.farkas > 0)
+
+(* Copies of one compiled LP solved concurrently on two domains must
+   reproduce their sequential answers bit for bit: every copy owns its
+   tableau and its pivot scratch, so nothing one domain writes can reach
+   the other's elimination. *)
+let test_parallel_copies_match_sequential () =
+  let g = Gen.bigm_lp 3 in
+  let c0 = Cv_lp.Lp.compile ~fixable:(Array.to_list g.Gen.binaries) g.Gen.lp in
+  ignore (Cv_lp.Lp.solve_compiled c0);
+  let nb = Array.length g.Gen.binaries in
+  let run (c, seed) =
+    let rng = Cv_util.Rng.create seed in
+    List.init 3000 (fun _ ->
+        let lo, hi =
+          match Cv_util.Rng.int rng 3 with
+          | 0 -> (0., 0.)
+          | 1 -> (1., 1.)
+          | _ -> (0., 1.)
+        in
+        Cv_lp.Lp.set_bounds_compiled c g.Gen.binaries.(Cv_util.Rng.int rng nb)
+          ~lo ~hi;
+        match Cv_lp.Lp.solve_compiled c with
+        | Cv_lp.Lp.Optimal s -> Int64.bits_of_float s.Cv_lp.Lp.objective
+        | _ -> 0L)
+  in
+  let jobs () =
+    Array.init 2 (fun i -> (Cv_lp.Lp.copy_compiled c0, i + 1))
+  in
+  let sequential = Array.map run (jobs ()) in
+  let parallel = Cv_util.Parallel.map ~domains:2 run (jobs ()) in
+  Alcotest.(check (array (list int64)))
+    "parallel = sequential objective bits" sequential parallel
+
 (* The gadget row pair must support fixing at both ends of each of the
    compile-time boxes (degenerate lo = hi included). *)
 let test_compiled_fixing_validation () =
@@ -505,6 +673,10 @@ let () =
           Alcotest.test_case "set_bounds/copy" `Quick test_set_bounds_and_copy;
           Alcotest.test_case "constraint validation" `Quick
             test_bad_constraint_var;
+          Alcotest.test_case "set_bounds rejects lo > hi" `Quick
+            test_set_bounds_rejects_inverted;
+          Alcotest.test_case "bounds rejects unknown var" `Quick
+            test_bounds_rejects_unknown_var;
           Alcotest.test_case "fixing across lowering paths" `Quick
             test_set_bounds_fixing_paths ] );
       ( "compiled",
@@ -513,7 +685,12 @@ let () =
           Alcotest.test_case "fixing validation" `Quick
             test_compiled_fixing_validation;
           Alcotest.test_case "stalled on iteration limit" `Quick
-            test_stalled_on_iteration_limit ] );
+            test_stalled_on_iteration_limit;
+          Alcotest.test_case "big-M certification paths" `Quick
+            test_bigm_certification_paths;
+          Alcotest.test_case "parallel copies match sequential" `Quick
+            test_parallel_copies_match_sequential;
+          QCheck_alcotest.to_alcotest bigm_warm_matches_fresh_prop ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest lp_box_corner_prop;
           QCheck_alcotest.to_alcotest lp_solution_feasible_prop;

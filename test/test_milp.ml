@@ -295,6 +295,50 @@ let test_stalled_root_times_out () =
     Alcotest.(check bool) "no incumbent" true (incumbent = None)
   | _ -> Alcotest.fail "expected Timeout when the root solve stalls"
 
+(* ------------------------------------------------------------------ *)
+(* Search-path pin                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact simplex effort and optimum of one seeded ReLU MILP (24
+   binaries). The simplex's pivot choices are a deterministic function
+   of its float arithmetic, so these counts move whenever a change to
+   the LP layer alters any pivot decision — a speed-up that claims an
+   unchanged search path must leave them alone. Two domains must give
+   the same counts: the parallel search clones its worker states with
+   [Simplex.copy_state], and a clone must pivot exactly like the
+   original. (Here the whole search is one dive from the root, so the
+   two domains never pivot at the same time; test_lp's "parallel
+   copies match sequential" covers concurrent copies.) *)
+let test_search_path_pin () =
+  let names =
+    [ "lp.pivots"; "lp.iterations"; "milp.nodes"; "lp.warmstart.hits";
+      "lp.warmstart.misses"; "lp.warmstart.fallbacks" ]
+  in
+  let counts () =
+    List.map (fun n -> Cv_util.Metrics.value (Cv_util.Metrics.counter n)) names
+  in
+  let net = Gen.net_of 2 [ 4; 12; 12; 1 ] in
+  let box = Cv_interval.Box.uniform 4 ~lo:(-1.) ~hi:1. in
+  List.iter
+    (fun domains ->
+      let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
+      let before = counts () in
+      let r = Cv_milp.Relu_encoding.max_output ~domains enc ~output:0 in
+      let effort = List.map2 ( - ) (counts ()) before in
+      List.iter2
+        (fun name (want, got) ->
+          Alcotest.(check int) (Printf.sprintf "%s (domains %d)" name domains) want got)
+        names
+        (List.combine [ 4779; 5266; 509; 504; 6; 0 ] effort);
+      match r with
+      | Cv_milp.Milp.Optimal s ->
+        Alcotest.(check int64)
+          (Printf.sprintf "optimum bits (domains %d)" domains)
+          4596736207253034511L
+          (Int64.bits_of_float s.Cv_milp.Milp.objective)
+      | _ -> Alcotest.fail "expected optimal")
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "cv_milp"
     [ ( "branch-and-bound",
@@ -306,6 +350,7 @@ let () =
           Alcotest.test_case "minimize" `Quick test_minimize_milp;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_parallel_matches_sequential;
+          Alcotest.test_case "search-path pin" `Quick test_search_path_pin;
           Alcotest.test_case "stalled root times out" `Quick
             test_stalled_root_times_out;
           QCheck_alcotest.to_alcotest milp_vs_bruteforce_prop ] );
