@@ -61,9 +61,13 @@ certfuzz:
 	    -out _build/certfuzz-failures || exit 1; \
 	done
 
+# The last two are the only non-test callers of Session and Specchange;
+# CI runs them (examples smoke) and requires exit 0.
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/paper_example.exe
+	dune exec examples/collision_avoidance.exe
+	dune exec examples/continuous_loop.exe
 
 # requires odoc (not vendored): opam install odoc
 doc:

@@ -65,10 +65,7 @@ let table1 () =
       Cv_util.Timer.repeat_median ~runs:time_runs (fun () ->
           Cv_core.Strategy.solve_original_exact old_net prop)
     in
-    let artifact =
-      { original.Cv_core.Strategy.artifact with
-        Cv_artifacts.Artifacts.solve_seconds = orig_t }
-    in
+    let artifact = original.Cv_core.Strategy.artifact in
     let svudc_report, svudc_t =
       Cv_util.Timer.repeat_median ~runs:time_runs (fun () ->
           Cv_core.Strategy.solve_svudc
@@ -223,10 +220,7 @@ let bench_trajectory () =
         let original, orig_t, orig_m =
           phase (fun () -> Cv_core.Strategy.solve_original_exact old_net prop)
         in
-        let artifact =
-          { original.Cv_core.Strategy.artifact with
-            Cv_artifacts.Artifacts.solve_seconds = orig_t }
-        in
+        let artifact = original.Cv_core.Strategy.artifact in
         let svudc_report, svudc_t, svudc_m =
           phase (fun () ->
               Cv_core.Strategy.solve_svudc

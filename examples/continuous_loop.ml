@@ -53,20 +53,17 @@ let () =
   (match r1.Cv_core.Report.verdict with
   | Cv_core.Report.Safe ->
     (* Proof transferred: commit the enlarged domain and refresh the
-       stored artifact for the next iteration. *)
+       stored artifact for the next iteration. The artifact keeps the
+       chain only if it proves D_out, so the widening stays as small as
+       the original solve's. *)
     Cv_monitor.Monitor.commit monitor enlarged;
-    let chain =
-      Cv_domains.Analyzer.abstractions ~widen:0.04 Cv_domains.Analyzer.Symint
-        head0 enlarged
-    in
     let prop1 =
       Cv_verify.Property.make ~din:enlarged
         ~dout:prop0.Cv_verify.Property.dout
     in
     artifact :=
-      Cv_artifacts.Artifacts.make ~state_abstractions:chain
-        ~lipschitz:!artifact.Cv_artifacts.Artifacts.lipschitz ~property:prop1
-        ~net:head0 ~solver:"svudc-transfer" ~solve_seconds:orig_t ();
+      Cv_core.Strategy.record ~chain:(Cv_core.Strategy.Widened 0.02)
+        ~solver:"svudc-transfer" ~solve_seconds:orig_t head0 prop1;
     Printf.printf "committed D_in ∪ Δ_in; artifact refreshed\n"
   | _ -> Printf.printf "transfer failed; a full re-verification would be scheduled\n");
 
@@ -95,19 +92,19 @@ let () =
   section "Iteration 3 — the specification evolves (SVuSC)";
   (* Safety engineers tighten the certified output envelope to the
      chain reach + a smaller margin. *)
-  let chain =
-    Option.get !artifact.Cv_artifacts.Artifacts.state_abstractions
-  in
-  let s_n = chain.(Array.length chain - 1) in
-  let tightened = Cv_interval.Box.expand 0.02 s_n in
-  let sc =
-    Cv_core.Specchange.make ~net:head0 ~artifact:!artifact ~new_dout:tightened ()
-  in
-  let r3 = Cv_core.Specchange.solve sc in
-  Printf.printf "SVuSC (tightened D_out): %s, decided by %s (%s)\n"
-    (Cv_core.Report.outcome_string r3.Cv_core.Report.verdict)
-    (match r3.Cv_core.Report.decisive with Some n -> n | None -> "-")
-    (ratio_str r3 orig_t);
+  (match Cv_artifacts.Artifacts.final_abstraction !artifact with
+  | None -> Printf.printf "artifact holds no chain; no tightened D_out to try\n"
+  | Some s_n ->
+    let tightened = Cv_interval.Box.expand 0.02 s_n in
+    let sc =
+      Cv_core.Specchange.make ~net:head0 ~artifact:!artifact
+        ~new_dout:tightened ()
+    in
+    let r3 = Cv_core.Specchange.solve sc in
+    Printf.printf "SVuSC (tightened D_out): %s, decided by %s (%s)\n"
+      (Cv_core.Report.outcome_string r3.Cv_core.Report.verdict)
+      (match r3.Cv_core.Report.decisive with Some n -> n | None -> "-")
+      (ratio_str r3 orig_t));
   let relaxed =
     Cv_interval.Box.expand 1.0 !artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
   in

@@ -57,13 +57,20 @@ let fingerprint net =
     (Cv_nn.Network.layers net);
   "v2:" ^ Digest.to_hex (Digest.bytes (Buffer.to_bytes buf))
 
+(* The invariant of [t]: a stored chain proves the stored property.
+   Reuse routes (Props 1-3, Δ-cover, differential) start from [S_n] and
+   would otherwise inherit an unproved claim. *)
+let proving_chain property = function
+  | Some s when Cv_verify.Property.chain_proves property s -> Some s
+  | Some _ | None -> None
+
 (** [make ~property ~net ~solver ~solve_seconds ()] builds an artifact
-    bundle; state abstractions and Lipschitz constants are optional and
-    can be attached later. *)
+    bundle; state abstractions and Lipschitz constants are optional, and
+    a chain that does not prove [property] is dropped. *)
 let make ?state_abstractions ?(lipschitz = []) ?split_cert ~property ~net
     ~solver ~solve_seconds () =
   { property;
-    state_abstractions;
+    state_abstractions = proving_chain property state_abstractions;
     lipschitz;
     split_cert;
     network_fingerprint = fingerprint net;
@@ -76,10 +83,6 @@ let matches t net = String.equal t.network_fingerprint (fingerprint net)
 
 (** [lipschitz_for t norm] looks up a stored constant by norm name. *)
 let lipschitz_for t norm = List.assoc_opt norm t.lipschitz
-
-(** [with_lipschitz t norm value] records one more constant. *)
-let with_lipschitz t norm value =
-  { t with lipschitz = (norm, value) :: List.remove_assoc norm t.lipschitz }
 
 (** [final_abstraction t] is [S_n] when state abstractions are
     present. *)
@@ -115,12 +118,15 @@ let of_json j =
   (match member_opt "format" j with
   | Some (Str "contiver-proof") -> ()
   | _ -> raise (Error "Artifacts: not a contiver-proof document"));
-  { property = Cv_verify.Property.of_json (member "property" j);
+  let property = Cv_verify.Property.of_json (member "property" j) in
+  { property;
     state_abstractions =
-      (match member "state_abstractions" j with
-      | Null -> None
-      | List boxes -> Some (Array.of_list (List.map Cv_interval.Box.of_json boxes))
-      | _ -> raise (Error "Artifacts: bad state_abstractions"));
+      proving_chain property
+        (match member "state_abstractions" j with
+        | Null -> None
+        | List boxes ->
+          Some (Array.of_list (List.map Cv_interval.Box.of_json boxes))
+        | _ -> raise (Error "Artifacts: bad state_abstractions"));
     lipschitz =
       (match member "lipschitz" j with
       | Obj kvs -> List.map (fun (k, v) -> (k, to_float v)) kvs

@@ -1,8 +1,13 @@
 (** Proof artifacts: what a completed verification leaves behind for
     reuse — state abstractions [S_1..S_n], Lipschitz constants, and
-    provenance metadata — with JSON persistence. *)
+    provenance metadata — with JSON persistence.
 
-type t = {
+    The type is private: every value comes from {!make} or {!of_json},
+    and both keep a state-abstraction chain only when it proves the
+    stored property ([S_n ⊆ D_out], {!Cv_verify.Property.chain_proves}).
+    Reuse routes may therefore trust any chain they find. *)
+
+type t = private {
   property : Cv_verify.Property.t;  (** the proved property *)
   state_abstractions : Cv_interval.Box.t array option;
       (** [S_1..S_n], inductive per-layer boxes with [S_n ⊆ D_out] *)
@@ -23,8 +28,10 @@ type t = {
     break rather than apparent network drift. *)
 val fingerprint : Cv_nn.Network.t -> string
 
-(** [make ?state_abstractions ?lipschitz ~property ~net ~solver
-    ~solve_seconds ()] builds an artifact bundle. *)
+(** [make ?state_abstractions ?lipschitz ?split_cert ~property ~net
+    ~solver ~solve_seconds ()] builds an artifact bundle. A chain that is
+    empty or does not prove [property] ([S_n ⊄ D_out]) is dropped: the
+    artifact then holds no state abstractions. *)
 val make :
   ?state_abstractions:Cv_interval.Box.t array ->
   ?lipschitz:(string * float) list ->
@@ -43,15 +50,13 @@ val matches : t -> Cv_nn.Network.t -> bool
 (** [lipschitz_for t norm] looks up a stored constant by norm name. *)
 val lipschitz_for : t -> string -> float option
 
-(** [with_lipschitz t norm value] records one more constant. *)
-val with_lipschitz : t -> string -> float -> t
-
 (** [final_abstraction t] is [S_n] when state abstractions are
     present. *)
 val final_abstraction : t -> Cv_interval.Box.t option
 
 (** [to_json t] / [of_json j] encode the bundle; [of_json] raises
-    {!Cv_util.Json.Error} on malformed documents. *)
+    {!Cv_util.Json.Error} on malformed documents and, like {!make}, loads
+    an empty or non-proving chain as no chain. *)
 val to_json : t -> Cv_util.Json.t
 
 val of_json : Cv_util.Json.t -> t

@@ -13,7 +13,6 @@ module Property = Cv_verify.Property
 module Artifacts = Cv_artifacts.Artifacts
 module Cache = Cv_artifacts.Cache
 module Analyzer = Cv_domains.Analyzer
-module Lipschitz = Cv_lipschitz.Lipschitz
 
 let src = Logs.Src.create "cv.batch" ~doc:"Batch verification scheduler"
 
@@ -380,48 +379,26 @@ let verdict_of_containment = function
 (* The cached abstract route of a plain verify job: the chain is the
    content-addressed artifact, so the second job on the same
    (net, D_in, domain) skips the analysis entirely. *)
-let abstract_attempt ~config ?deadline ~fingerprint ~chain net (prop : Property.t)
-    () =
-  let domain = config.strategy.Strategy.domain in
-  let name = "abstract-" ^ Analyzer.domain_name domain in
-  let build () = Analyzer.abstractions ?deadline domain net prop.Property.din in
+let abstract_attempt ~config ?deadline ~chain net (prop : Property.t) () =
+  let name =
+    "abstract-" ^ Analyzer.domain_name config.strategy.Strategy.domain
+  in
   let boxes, wall =
     Timer.time (fun () ->
-        match config.cache with
-        | None -> build ()
-        | Some c ->
-          Cache.boxes_or_build c ~fingerprint
-            ~box_hash:(Cache.box_hash prop.Property.din)
-            ~kind:("abstractions:" ^ Analyzer.domain_name domain ^ ":w=0")
-            build)
+        Strategy.build_chain ?deadline ?cache:config.cache
+          ~config:config.strategy ~widen:0. net prop.Property.din)
   in
-  let n = Array.length boxes in
-  let proved = n > 0 && Box.subset_tol boxes.(n - 1) prop.Property.dout in
+  let proved = Property.chain_proves prop boxes in
   if proved then chain := Some boxes;
   { Report.name;
     outcome =
       (if proved then Report.Safe
        else Report.Inconclusive "abstract chain does not prove containment");
     timing = Report.sequential_timing wall;
-    detail = Printf.sprintf "%d layer abstractions" n }
-
-let cached_lipschitz ~config ~fingerprint net norm =
-  let kind_name = match norm with
-    | Lipschitz.Linf -> "Linf"
-    | Lipschitz.L2 -> "L2"
-    | Lipschitz.L1 -> "L1"
-  in
-  let build () = Lipschitz.global ~norm net in
-  match config.cache with
-  | None -> build ()
-  | Some c ->
-    Cache.float_or_build c ~fingerprint ~box_hash:Cache.no_box
-      ~kind:("lipschitz:" ^ kind_name)
-      build
+    detail = Printf.sprintf "%d layer abstractions" (Array.length boxes) }
 
 let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     ~artifact_out () =
-  let fingerprint = Artifacts.fingerprint net in
   if exact then begin
     let r =
       Strategy.solve_original_exact ?deadline ~config:config.strategy
@@ -442,24 +419,18 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     let chain = ref None in
     let report =
       Strategy.run_until_decisive ?deadline ?checkpoint ?resume
-        [ abstract_attempt ~config ?deadline ~fingerprint ~chain net prop;
+        [ abstract_attempt ~config ?deadline ~chain net prop;
           (fun () ->
             Strategy.full_verify ?deadline ~config:config.strategy net prop) ]
     in
     let settled = settled_of_report report in
     (match (artifact_out, settled.s_verdict) with
     | Some path, Safe ->
-      let lipschitz =
-        [ ("Linf", cached_lipschitz ~config ~fingerprint net Lipschitz.Linf);
-          ("L2", cached_lipschitz ~config ~fingerprint net Lipschitz.L2) ]
-      in
-      let artifact =
-        Artifacts.make ?state_abstractions:!chain ~lipschitz ~property:prop
-          ~net
-          ~solver:(Option.value ~default:"batch" report.Report.decisive)
-          ~solve_seconds:report.Report.total_wall ()
-      in
-      Artifacts.save path artifact
+      Artifacts.save path
+        (Strategy.record ?cache:config.cache ~config:config.strategy
+           ~chain:(Strategy.Held !chain)
+           ~solver:(Option.value ~default:"batch" report.Report.decisive)
+           ~solve_seconds:report.Report.total_wall net prop)
     | _ -> ());
     settled
   end

@@ -158,30 +158,14 @@ let observe s features =
   | None -> ());
   r
 
-(* Refresh the stored artifact for a (possibly new) net and domain:
-   recompute the widened chain and Lipschitz constants; the D_out is
-   unchanged. Only called after a reuse proof succeeded, so the refresh
-   itself needs no solver. *)
+(* Refresh the stored artifact for a (possibly new) net and domain; the
+   D_out is unchanged. Only called after a reuse proof succeeded, so
+   only the bisection certificate needs a solver: it is repaired for the
+   new network and extended over any domain growth. *)
 let refresh_artifact s net din =
-  let chain =
-    Cv_domains.Analyzer.abstractions ~widen:s.widen s.config.Strategy.domain net
-      din
-  in
   let prop =
-    Cv_verify.Property.make ~din
-      ~dout:(property s).Cv_verify.Property.dout
+    Cv_verify.Property.make ~din ~dout:(property s).Cv_verify.Property.dout
   in
-  let lipschitz =
-    [ ("Linf", Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net);
-      ("L2", Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net) ]
-  in
-  let chain_proves =
-    Cv_interval.Box.subset_tol
-      chain.(Array.length chain - 1)
-      prop.Cv_verify.Property.dout
-  in
-  (* Keep the bisection certificate alive too: repair it for the new
-     network, extending it over any domain growth. *)
   let split_cert =
     match s.artifact.Cv_artifacts.Artifacts.split_cert with
     | None -> None
@@ -197,10 +181,9 @@ let refresh_artifact s net din =
         Cv_verify.Split_cert.prove net ~input_box:din
           ~target:prop.Cv_verify.Property.dout)
   in
-  Cv_artifacts.Artifacts.make
-    ?state_abstractions:(if chain_proves then Some chain else None)
-    ?split_cert ~lipschitz ~property:prop ~net ~solver:"session-refresh"
-    ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds ()
+  Strategy.record ~config:s.config ?split_cert
+    ~chain:(Strategy.Widened s.widen) ~solver:"session-refresh"
+    ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds net prop
 
 (** [absorb_enlargement ?deadline ?margin s] solves the pending SVuDC
     instance for the monitored enlargement. On success the enlarged
@@ -249,21 +232,19 @@ let retarget ?deadline s new_dout =
   let report = Specchange.solve ?deadline ~config:s.config p in
   (match report.Report.verdict with
   | Report.Safe ->
-    let din = (property s).Cv_verify.Property.din in
+    (* Same network and domain: a chain already held stays inductive,
+       so only a missing one is rebuilt (record re-checks it against the
+       new D_out). *)
     let chain =
-      Cv_domains.Analyzer.abstractions ~widen:s.widen s.config.Strategy.domain
-        s.net din
-    in
-    let chain_proves =
-      Cv_interval.Box.subset_tol chain.(Array.length chain - 1) new_dout
+      match s.artifact.Cv_artifacts.Artifacts.state_abstractions with
+      | Some _ as held -> Strategy.Held held
+      | None -> Strategy.Widened s.widen
     in
     s.artifact <-
-      Cv_artifacts.Artifacts.make
-        ?state_abstractions:(if chain_proves then Some chain else None)
-        ~lipschitz:s.artifact.Cv_artifacts.Artifacts.lipschitz
-        ~property:(Cv_verify.Property.make ~din ~dout:new_dout)
-        ~net:s.net ~solver:"session-retarget"
-        ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds ();
+      Strategy.record ~config:s.config ~chain ~solver:"session-retarget"
+        ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds s.net
+        (Cv_verify.Property.make
+           ~din:(property s).Cv_verify.Property.din ~dout:new_dout);
     push s (Spec_changed report)
   | Report.Exhausted _ -> push s (Budget_exhausted report)
   | _ -> push s (Spec_rejected report));

@@ -32,6 +32,66 @@ let default_config =
     domains = None }
 
 (* ------------------------------------------------------------------ *)
+(* Artifact recording                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type chain = Widened of float | Held of Cv_interval.Box.t array option
+
+(* Keep the key format stable: a disk cache holds entries written under
+   it by earlier builds. *)
+let build_chain ?deadline ?cache ?(config = default_config) ~widen net din =
+  let build () =
+    Cv_domains.Analyzer.abstractions ?deadline ~widen config.domain net din
+  in
+  match cache with
+  | None -> build ()
+  | Some c ->
+    Cv_artifacts.Cache.boxes_or_build c
+      ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
+      ~box_hash:(Cv_artifacts.Cache.box_hash din)
+      ~kind:
+        (Printf.sprintf "abstractions:%s:w=%g"
+           (Cv_domains.Analyzer.domain_name config.domain)
+           widen)
+      build
+
+(* The one builder of proof artifacts (see the interface). A chain that
+   crashes beyond supervised retries is simply not recorded. *)
+let record ?deadline ?cache ?(config = default_config) ?split_cert ~chain
+    ~solver ~solve_seconds net prop =
+  let state_abstractions =
+    match chain with
+    | Held s -> s
+    | Widened widen -> (
+      match
+        Cv_util.Supervisor.run ~name:"strategy.record" (fun () ->
+            build_chain ?deadline ?cache ~config ~widen net
+              prop.Cv_verify.Property.din)
+      with
+      | Ok s -> Some s
+      | Error _ -> None
+      | exception (Cv_util.Deadline.Expired _ as e) -> raise e
+      | exception _ -> None)
+  in
+  let module Lipschitz = Cv_lipschitz.Lipschitz in
+  let fingerprint = lazy (Cv_artifacts.Artifacts.fingerprint net) in
+  let lipschitz norm =
+    let name = Lipschitz.norm_name norm in
+    let build () = Lipschitz.global ~norm net in
+    ( name,
+      match cache with
+      | None -> build ()
+      | Some c ->
+        Cv_artifacts.Cache.float_or_build c
+          ~fingerprint:(Lazy.force fingerprint)
+          ~box_hash:Cv_artifacts.Cache.no_box ~kind:("lipschitz:" ^ name)
+          build )
+  in
+  Cv_artifacts.Artifacts.make ?state_abstractions
+    ~lipschitz:[ lipschitz Lipschitz.Linf; lipschitz Lipschitz.L2 ]
+    ?split_cert ~property:prop ~net ~solver ~solve_seconds ()
+
+(* ------------------------------------------------------------------ *)
 (* Original problem                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -42,40 +102,30 @@ type original = {
   proved : bool;
 }
 
+let is_proved = function Cv_verify.Containment.Proved -> true | _ -> false
+
 (** [solve_original ?deadline ?config net prop] verifies
     [φ(f, D_in, D_out)] from scratch — abstract analysis first, exact
     fallback — and packages the proof artifacts (state abstractions when
     the abstract proof succeeded, Lipschitz constants always). The
-    reported time is the denominator of the Table I ratios. Deadline
-    expiry degrades the verdict to [Unknown {reason = Timeout; _}]. *)
+    reported time, that of the verification proper, is the denominator
+    of the Table I ratios. Deadline expiry degrades the verdict to
+    [Unknown {reason = Timeout; _}]. *)
 let solve_original ?deadline ?(config = default_config) net prop =
   Cv_util.Trace.with_span "strategy.original" @@ fun () ->
-  let result, wall =
+  let pr, wall =
     Cv_util.Timer.time (fun () ->
-        let pr =
-          Cv_verify.Verifier.verify_with_abstractions ?deadline
-            ~domain:config.domain ~fallback:config.engine net prop
-        in
-        let ell_inf = Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net in
-        let ell_l2 = Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net in
-        (pr, [ ("Linf", ell_inf); ("L2", ell_l2) ]))
+        Cv_verify.Verifier.verify_with_abstractions ?deadline
+          ~domain:config.domain ~fallback:config.engine net prop)
   in
-  let pr, lipschitz = result in
-  let proved =
-    match pr.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
-    | Cv_verify.Containment.Proved -> true
-    | _ -> false
-  in
+  let report = pr.Cv_verify.Verifier.report in
   { artifact =
-      Cv_artifacts.Artifacts.make
-        ?state_abstractions:pr.Cv_verify.Verifier.abstractions ~lipschitz
-        ~property:prop ~net
+      record ~config ~chain:(Held pr.Cv_verify.Verifier.abstractions)
         ~solver:
-          (Cv_verify.Containment.engine_name
-             pr.Cv_verify.Verifier.report.Cv_verify.Verifier.engine)
-        ~solve_seconds:wall ();
-    report = { pr.Cv_verify.Verifier.report with Cv_verify.Verifier.seconds = wall };
-    proved }
+          (Cv_verify.Containment.engine_name report.Cv_verify.Verifier.engine)
+        ~solve_seconds:wall net prop;
+    report = { report with Cv_verify.Verifier.seconds = wall };
+    proved = is_proved report.Cv_verify.Verifier.verdict }
 
 (** [solve_original_exact ?config ?widen net prop] — the Table I
     "original problem": a sound-and-complete full-network run (exact
@@ -83,71 +133,55 @@ let solve_original ?deadline ?(config = default_config) net prop =
     widened inductive abstraction chain (default slack 0.02) and
     Lipschitz constants. The widening leaves slack for later
     fine-tuning, the same practice as the paper's input-bound buffers.
-    Raises on non-piecewise-linear networks. *)
+    The reported time covers the verification (and split certificate),
+    not the recording. Raises on non-piecewise-linear networks. *)
 let solve_original_exact ?deadline ?(config = default_config) ?(widen = 0.02)
     ?(with_split_cert = false) ?checkpoint ?resume net prop =
   Cv_util.Trace.with_span "strategy.original_exact" @@ fun () ->
-  let lipschitz () =
-    let ell_inf =
-      Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net
-    in
-    let ell_l2 =
-      Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net
-    in
-    [ ("Linf", ell_inf); ("L2", ell_l2) ]
+  let started = Cv_util.Clock.now () in
+  let elapsed () = Cv_util.Clock.now () -. started in
+  let solver = "milp-exact-range" in
+  (* Exactness admits no partial answer: a timeout or a persistent
+     crash degrades the whole solve to a structured Unknown with no
+     chain (Lipschitz constants are cheap and still recorded). *)
+  let degrade reason msg =
+    ( Cv_verify.Containment.unknown reason msg,
+      record ~config ~chain:(Held None) ~solver ~solve_seconds:(elapsed ())
+        net prop )
   in
-  let body () =
-    let verdict, _range =
-      Cv_verify.Range.verify_exact ?deadline ?checkpoint ?resume net prop
-    in
-    let split_cert =
-      if with_split_cert && verdict = Cv_verify.Containment.Proved then
-        Cv_verify.Split_cert.prove ?deadline net
-          ~input_box:prop.Cv_verify.Property.din
-          ~target:prop.Cv_verify.Property.dout
-      else None
-    in
-    let s =
-      Cv_domains.Analyzer.abstractions ?deadline ~widen config.domain net
-        prop.Cv_verify.Property.din
-    in
-    let chain_proves =
-      Cv_interval.Box.subset_tol s.(Array.length s - 1)
-        prop.Cv_verify.Property.dout
-    in
-    (verdict, (if chain_proves then Some s else None), lipschitz (), split_cert)
+  let verdict, artifact =
+    (* Supervised: transient solver failures (spurious errors,
+       allocation faults) are retried. *)
+    Cv_util.Supervisor.protect ~name:"strategy.original_exact"
+      ~fallback:(fun exn ->
+        degrade Cv_verify.Containment.Crash
+          ("exact solve crashed: " ^ Printexc.to_string exn))
+      (fun () ->
+        try
+          let verdict, _range =
+            Cv_verify.Range.verify_exact ?deadline ?checkpoint ?resume net
+              prop
+          in
+          let split_cert =
+            if with_split_cert && is_proved verdict then
+              Cv_verify.Split_cert.prove ?deadline net
+                ~input_box:prop.Cv_verify.Property.din
+                ~target:prop.Cv_verify.Property.dout
+            else None
+          in
+          let solve_seconds = elapsed () in
+          ( verdict,
+            record ?deadline ~config ?split_cert ~chain:(Widened widen)
+              ~solver ~solve_seconds net prop )
+        with Cv_util.Deadline.Expired msg ->
+          degrade Cv_verify.Containment.Timeout msg)
   in
-  let result, wall =
-    Cv_util.Timer.time (fun () ->
-        (* Supervised: transient solver failures (spurious errors,
-           allocation faults) are retried; a persistent crash degrades
-           to a structured Unknown instead of escaping. *)
-        Cv_util.Supervisor.protect ~name:"strategy.original_exact"
-          ~fallback:(fun exn ->
-            ( Cv_verify.Containment.unknown Cv_verify.Containment.Crash
-                ("exact solve crashed: " ^ Printexc.to_string exn),
-              None, lipschitz (), None ))
-          (fun () ->
-            try body ()
-            with Cv_util.Deadline.Expired msg ->
-              (* Exactness admits no partial answer: degrade the whole
-                 solve to a structured Unknown (Lipschitz constants are
-                 cheap and still recorded). *)
-              ( Cv_verify.Containment.unknown Cv_verify.Containment.Timeout
-                  msg,
-                None, lipschitz (), None )))
-  in
-  let verdict, abstractions, lipschitz, split_cert = result in
-  { artifact =
-      Cv_artifacts.Artifacts.make ?state_abstractions:abstractions ~lipschitz
-        ?split_cert ~property:prop ~net ~solver:"milp-exact-range"
-        ~solve_seconds:wall ();
+  { artifact;
     report =
       { Cv_verify.Verifier.verdict;
         engine = Cv_verify.Containment.Milp;
-        seconds = wall };
-    proved =
-      (match verdict with Cv_verify.Containment.Proved -> true | _ -> false) }
+        seconds = artifact.Cv_artifacts.Artifacts.solve_seconds };
+    proved = is_proved verdict }
 
 (* ------------------------------------------------------------------ *)
 (* Fallback                                                            *)

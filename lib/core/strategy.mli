@@ -23,6 +23,42 @@ type config = {
     abstractions, ∞-norm Lipschitz). *)
 val default_config : config
 
+(** Where a recorded artifact's state-abstraction chain comes from:
+    built over [D_in] with this widening slack, or one the caller
+    already holds ([Held None]: no chain). *)
+type chain = Widened of float | Held of Cv_interval.Box.t array option
+
+(** [build_chain ?deadline ?cache ?config ~widen net din] is the
+    configured domain's chain over [din], widened by [widen], through
+    [cache] under the key [abstractions:<domain>:w=<widen>]. *)
+val build_chain :
+  ?deadline:Cv_util.Deadline.t ->
+  ?cache:Cv_artifacts.Cache.t ->
+  ?config:config ->
+  widen:float ->
+  Cv_nn.Network.t ->
+  Cv_interval.Box.t ->
+  Cv_interval.Box.t array
+
+(** [record ?deadline ?cache ?config ?split_cert ~chain ~solver
+    ~solve_seconds net prop] is the one builder of proof artifacts: the
+    chain, the Linf/L2 Lipschitz pair (through [cache] under
+    [lipschitz:<norm>]) and [split_cert], sealed by
+    {!Cv_artifacts.Artifacts.make}, which keeps the chain only when it
+    proves [prop]. A chain build that crashes records no chain;
+    {!Cv_util.Deadline.Expired} propagates. *)
+val record :
+  ?deadline:Cv_util.Deadline.t ->
+  ?cache:Cv_artifacts.Cache.t ->
+  ?config:config ->
+  ?split_cert:Cv_verify.Split_cert.t ->
+  chain:chain ->
+  solver:string ->
+  solve_seconds:float ->
+  Cv_nn.Network.t ->
+  Cv_verify.Property.t ->
+  Cv_artifacts.Artifacts.t
+
 (** Result of solving the original verification problem from scratch. *)
 type original = {
   artifact : Cv_artifacts.Artifacts.t;
@@ -32,9 +68,10 @@ type original = {
 
 (** [solve_original ?deadline ?config net prop] verifies
     [φ(f, D_in, D_out)] from scratch — abstract analysis first, exact
-    fallback — and packages the proof artifacts (state abstractions when
-    the abstract proof succeeded, Lipschitz constants always). Deadline
-    expiry degrades the verdict to [Unknown {reason = Timeout; _}]. *)
+    fallback — and packages the proof artifacts through {!record} (state
+    abstractions when the abstract proof succeeded, Lipschitz constants
+    always). The reported seconds exclude the recording. Deadline expiry
+    degrades the verdict to [Unknown {reason = Timeout; _}]. *)
 val solve_original :
   ?deadline:Cv_util.Deadline.t ->
   ?config:config ->
@@ -44,9 +81,10 @@ val solve_original :
 
 (** [solve_original_exact ?deadline ?config ?widen net prop] — the
     Table I "original problem": a sound-and-complete full-network run
-    (exact MILP output range, no cutoffs) {e plus} artifact recording:
-    the widened inductive abstraction chain (default slack 0.02) and
-    Lipschitz constants. Raises on non-piecewise-linear networks;
+    (exact MILP output range, no cutoffs) {e plus} artifact recording
+    through {!record}: the widened inductive abstraction chain (default
+    slack 0.02) and Lipschitz constants. The reported seconds exclude
+    the recording. Raises on non-piecewise-linear networks;
     deadline expiry degrades the verdict to
     [Unknown {reason = Timeout; _}] (no partial artifacts), a
     persistent crash (beyond supervised retries) to

@@ -10,8 +10,6 @@ module Cache = Cv_artifacts.Cache
 module Batch = Cv_core.Batch
 module Strategy = Cv_core.Strategy
 module Runstate = Cv_core.Runstate
-module Lipschitz = Cv_lipschitz.Lipschitz
-module Analyzer = Cv_domains.Analyzer
 
 let src = Logs.Src.create "cv.serve.loop" ~doc:"Continuous verification loop"
 
@@ -296,58 +294,6 @@ let run ?(config = default_config) ~net ~artifact ~source () =
               payload))
       config.checkpoint_dir
   in
-  (* On a proved round the artifact is refreshed for the committed box:
-     abstraction chain and Lipschitz constants go through the cache
-     (content-addressed), so a second round against the same network
-     reuses them. A failed chain rebuild degrades to an artifact without
-     abstractions — the next round just starts from a cheaper route. *)
-  let refresh_artifact box =
-    let net = !current_net in
-    let fingerprint = Artifacts.fingerprint net in
-    let domain = config.strategy.Strategy.domain in
-    let build_chain () =
-      Analyzer.abstractions ~widen:config.widen domain net box
-    in
-    let chain =
-      let build () =
-        match config.cache with
-        | None -> build_chain ()
-        | Some c ->
-          Cache.boxes_or_build c ~fingerprint ~box_hash:(Cache.box_hash box)
-            ~kind:
-              (Printf.sprintf "abstractions:%s:w=%g"
-                 (Analyzer.domain_name domain)
-                 config.widen)
-            build_chain
-      in
-      match Cv_util.Supervisor.run ~name:"serve.refresh-chain" build with
-      | Ok chain -> Some chain
-      | Error _ -> None
-      | exception _ -> None
-    in
-    let lip name norm =
-      let build () = Lipschitz.global ~norm net in
-      match config.cache with
-      | None -> build ()
-      | Some c ->
-        Cache.float_or_build c ~fingerprint ~box_hash:Cache.no_box
-          ~kind:("lipschitz:" ^ name) build
-    in
-    let property =
-      Cv_verify.Property.make ~din:box
-        ~dout:(!current_artifact).Artifacts.property.Cv_verify.Property.dout
-    in
-    let refreshed =
-      Artifacts.make
-        ?state_abstractions:chain
-        ~lipschitz:[ ("Linf", lip "Linf" Lipschitz.Linf); ("L2", lip "L2" Lipschitz.L2) ]
-        ~property ~net ~solver:"serve-transfer"
-        ~solve_seconds:(!current_artifact).Artifacts.solve_seconds ()
-    in
-    current_artifact := refreshed;
-    Option.iter (fun path -> Artifacts.save path refreshed) config.artifact_out;
-    Option.iter (fun path -> Artifacts.save path refreshed) saved_artifact_path
-  in
   let run_round kind =
     let number = !round_count + 1 in
     let trigger_events = Monitor.event_count monitor in
@@ -394,7 +340,23 @@ let run ?(config = default_config) ~net ~artifact ~source () =
     if committed then begin
       (match kind with `Svbtv new_net -> current_net := new_net | `Svudc -> ());
       Monitor.commit monitor enlarged;
-      refresh_artifact enlarged;
+      (* Refresh the artifact for the committed box. Chain and Lipschitz
+         constants go through the cache (content-addressed), so a second
+         round against the same network reuses them; a chain that fails
+         to build or does not prove D_out is not stored, and the next
+         round starts from a cheaper route. *)
+      let old = !current_artifact in
+      let refreshed =
+        Strategy.record ?cache:config.cache ~config:config.strategy
+          ~chain:(Strategy.Widened config.widen) ~solver:"serve-transfer"
+          ~solve_seconds:old.Artifacts.solve_seconds !current_net
+          (Cv_verify.Property.make ~din:enlarged
+             ~dout:old.Artifacts.property.Cv_verify.Property.dout)
+      in
+      current_artifact := refreshed;
+      Option.iter (fun path -> Artifacts.save path refreshed) config.artifact_out;
+      Option.iter (fun path -> Artifacts.save path refreshed)
+        saved_artifact_path;
       incr commits;
       Metrics.incr m_commits;
       failed_at := None

@@ -20,6 +20,11 @@ let holds_at prop net x = Cv_interval.Box.mem (Cv_nn.Network.eval net x) prop.do
     the bounding box [join din delta]. *)
 let enlarge prop delta = { prop with din = Cv_interval.Box.join prop.din delta }
 
+(** [chain_proves prop s] is [S_n ⊆ D_out] for a non-empty chain. *)
+let chain_proves prop s =
+  let n = Array.length s in
+  n > 0 && Cv_interval.Box.subset_tol s.(n - 1) prop.dout
+
 (** [well_formed prop net] checks dimensions against a network. *)
 let well_formed prop net =
   Cv_interval.Box.dim prop.din = Cv_nn.Network.in_dim net

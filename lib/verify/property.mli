@@ -19,6 +19,11 @@ val holds_at : t -> Cv_nn.Network.t -> Cv_linalg.Vec.t -> bool
     by the bounding box [join din delta]. *)
 val enlarge : t -> Cv_interval.Box.t -> t
 
+(** [chain_proves prop s] is true when the state-abstraction chain
+    [s = S_1..S_n] is non-empty and [S_n ⊆ D_out] (with
+    {!Cv_interval.Box.subset_tol}): the chain proves [prop]. *)
+val chain_proves : t -> Cv_interval.Box.t array -> bool
+
 (** [well_formed prop net] checks dimensions against a network. *)
 val well_formed : t -> Cv_nn.Network.t -> bool
 

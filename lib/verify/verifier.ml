@@ -152,13 +152,7 @@ let verify_with_abstractions ?deadline ?(domain = Cv_domains.Analyzer.Symint)
               Cv_domains.Analyzer.abstractions ?deadline domain net
                 prop.Property.din
             with
-            | s ->
-              let ok =
-                Cv_interval.Box.subset_tol
-                  s.(Array.length s - 1)
-                  prop.Property.dout
-              in
-              (Some s, ok)
+            | s -> (Some s, Property.chain_proves prop s)
             | exception Cv_util.Deadline.Expired _ -> (None, false)))
   in
   if abstract_ok then

@@ -53,10 +53,7 @@ let test_lipschitz_access () =
   Alcotest.(check (option (float 1e-12))) "linf" (Some 12.5)
     (Cv_artifacts.Artifacts.lipschitz_for a "Linf");
   Alcotest.(check (option (float 1e-12))) "missing" None
-    (Cv_artifacts.Artifacts.lipschitz_for a "L7");
-  let a' = Cv_artifacts.Artifacts.with_lipschitz a "Linf" 10. in
-  Alcotest.(check (option (float 1e-12))) "updated" (Some 10.)
-    (Cv_artifacts.Artifacts.lipschitz_for a' "Linf")
+    (Cv_artifacts.Artifacts.lipschitz_for a "L7")
 
 let test_final_abstraction () =
   let a = make_artifact () in
@@ -100,6 +97,61 @@ let test_file_roundtrip () =
       let a' = Cv_artifacts.Artifacts.load path in
       Alcotest.(check bool) "file roundtrip" true (artifact_equal a a'))
 
+(* [doc_with a f] is [a]'s document with member [k] replaced by [f k v]. *)
+let doc_with a f =
+  match Cv_artifacts.Artifacts.to_json a with
+  | Cv_util.Json.Obj kvs ->
+    Cv_util.Json.Obj (List.map (fun (k, v) -> (k, f k v)) kvs)
+  | _ -> Alcotest.fail "artifact document is not an object"
+
+(* Writes [doc] inside the checksummed envelope and loads it back. *)
+let load_doc doc =
+  let path = Filename.temp_file "cv_artifact" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cv_artifacts.Artifacts.save_doc ~format:"contiver-proof" path doc;
+      match Cv_artifacts.Artifacts.load_result path with
+      | Ok a -> a
+      | Error e ->
+        Alcotest.failf "load_result: %s"
+          (Cv_artifacts.Artifacts.load_error_message e))
+
+let check_no_chain what a =
+  Alcotest.(check bool) (what ^ ": no chain") true
+    (a.Cv_artifacts.Artifacts.state_abstractions = None);
+  Alcotest.(check bool) (what ^ ": no S_n") true
+    (Cv_artifacts.Artifacts.final_abstraction a = None)
+
+let test_empty_chain_loads_as_none () =
+  let doc =
+    doc_with (make_artifact ()) (fun k v ->
+        if k = "state_abstractions" then Cv_util.Json.List [] else v)
+  in
+  check_no_chain "empty chain" (load_doc doc)
+
+(* D_out = [100, 101] is far from the chain's S_n: the stored chain no
+   longer proves the stored property, so neither make nor a load may
+   keep it. *)
+let test_non_proving_chain_dropped () =
+  let a = make_artifact () in
+  let far =
+    Cv_verify.Property.make ~din:(prop ()).Cv_verify.Property.din
+      ~dout:(Cv_interval.Box.of_bounds [| 100. |] [| 101. |])
+  in
+  check_no_chain "make"
+    (Cv_artifacts.Artifacts.make
+       ?state_abstractions:a.Cv_artifacts.Artifacts.state_abstractions
+       ~property:far ~net:(net ()) ~solver:"milp" ~solve_seconds:1. ());
+  let doc =
+    doc_with a (fun k v ->
+        if k = "property" then Cv_verify.Property.to_json far else v)
+  in
+  let loaded = load_doc doc in
+  check_no_chain "load" loaded;
+  Alcotest.(check bool) "rest of the bundle kept" true
+    (Cv_artifacts.Artifacts.lipschitz_for loaded "Linf" = Some 12.5)
+
 let test_rejects_wrong_format () =
   try
     ignore (Cv_artifacts.Artifacts.of_json (Cv_util.Json.parse "{\"a\": 1}"));
@@ -119,5 +171,9 @@ let () =
           Alcotest.test_case "json roundtrip (no chain)" `Quick
             test_json_roundtrip_no_abs;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+          Alcotest.test_case "empty chain loads as none" `Quick
+            test_empty_chain_loads_as_none;
+          Alcotest.test_case "non-proving chain dropped" `Quick
+            test_non_proving_chain_dropped;
           Alcotest.test_case "rejects wrong format" `Quick
             test_rejects_wrong_format ] ) ]

@@ -131,7 +131,12 @@ let test_prop3_lipschitz () =
 
 let test_prop3_requires_constant () =
   let net, din, _, artifact = scenario () in
-  let artifact = { artifact with Cv_artifacts.Artifacts.lipschitz = [] } in
+  let artifact =
+    Cv_artifacts.Artifacts.make
+      ?state_abstractions:artifact.Cv_artifacts.Artifacts.state_abstractions
+      ~property:artifact.Cv_artifacts.Artifacts.property ~net
+      ~solver:"no-lipschitz" ~solve_seconds:1. ()
+  in
   let p = Cv_core.Problem.svudc ~net ~artifact ~new_din:(small_enlargement din) in
   let a = Cv_core.Svudc.prop3 p in
   Alcotest.(check bool) "inconclusive without ell" true

@@ -258,6 +258,49 @@ let test_resume_continues_counters () =
       Alcotest.(check bool) "new events covered" true (Box.mem p t2.Serve.box))
     (ood_at 1.2)
 
+(* A committed round must never leave behind a stored chain that fails
+   to prove D_out: the next round's Prop 1 would trust it. Fig. 2 net,
+   D_out = [-1, 6.5]; the net reaches 6.6 at (-1, 1.3), so the second
+   enlargement is unsafe and must not commit. *)
+let test_refresh_keeps_only_proving_chains () =
+  let net =
+    Cv_nn.Network.of_list
+      [ Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows
+             [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+        Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |] ])
+          [| 0. |] Cv_nn.Activation.Relu ]
+  in
+  let dout = Box.uniform 1 ~lo:(-1.) ~hi:6.5 in
+  let prop = Cv_verify.Property.make ~din:toy_din ~dout in
+  let original = Strategy.solve_original_exact net prop in
+  Alcotest.(check bool) "original proved" true original.Strategy.proved;
+  let burst x2 =
+    List.init 3 (fun k -> [| -1.; x2 +. (0.001 *. float_of_int k) |])
+  in
+  let t =
+    Serve.run ~net ~artifact:original.Strategy.artifact
+      ~source:(Source.of_bursts [ burst 1.1; burst 1.3 ])
+      ()
+  in
+  (match t.Serve.rounds with
+  | [ r1; r2 ] ->
+    Alcotest.(check bool) "round 1 committed" true r1.Serve.committed;
+    Alcotest.(check bool) "round 2 not committed" false r2.Serve.committed
+  | rs -> Alcotest.failf "expected two rounds, got %d" (List.length rs));
+  (match Artifacts.final_abstraction t.Serve.artifact with
+  | Some s_n ->
+    Alcotest.(check bool) "stored chain proves D_out" true
+      (Box.subset_tol s_n dout)
+  | None -> ());
+  let range = Cv_verify.Range.exact_range net ~din:t.Serve.box in
+  let hi = (Box.upper range.Cv_verify.Range.range).(0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "exact max %.3f over the committed box <= 6.5" hi)
+    true (hi <= 6.5)
+
 (* ------------------------------------------------------------------ *)
 (* Through the binary                                                  *)
 
@@ -461,7 +504,9 @@ let () =
           Alcotest.test_case "cache reuse across rounds" `Quick
             test_cache_reuse_across_rounds;
           Alcotest.test_case "resume continues counters" `Quick
-            test_resume_continues_counters ] );
+            test_resume_continues_counters;
+          Alcotest.test_case "refresh keeps only proving chains" `Quick
+            test_refresh_keeps_only_proving_chains ] );
       ( "cli",
         [ Alcotest.test_case "stdin ndjson round" `Quick test_cli_stdin_round;
           Alcotest.test_case "kill and resume" `Quick test_cli_kill_and_resume ] )

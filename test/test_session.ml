@@ -172,6 +172,52 @@ let test_resume_file_roundtrip () =
           (Cv_core.Session.resume_error_message e)
       | Ok _ -> Alcotest.fail "mismatched network must be rejected")
 
+(* An artifact file whose chain is the empty list must resume as a
+   session without a chain: reuse routes that read S_n would otherwise
+   index an empty array and crash. *)
+let test_resume_file_empty_chain () =
+  let s, net, _ = certified_session () in
+  let path = temp_artifact_path () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let doc =
+        match Cv_artifacts.Artifacts.to_json (Cv_core.Session.artifact s) with
+        | Cv_util.Json.Obj kvs ->
+          Cv_util.Json.Obj
+            (List.map
+               (fun (k, v) ->
+                 if k = "state_abstractions" then (k, Cv_util.Json.List [])
+                 else (k, v))
+               kvs)
+        | _ -> Alcotest.fail "artifact document is not an object"
+      in
+      Cv_artifacts.Artifacts.save_doc ~format:"contiver-proof" path doc;
+      let s2 =
+        match Cv_core.Session.resume_file net path with
+        | Ok s2 -> s2
+        | Error e ->
+          Alcotest.failf "resume_file should succeed: %s"
+            (Cv_core.Session.resume_error_message e)
+      in
+      Alcotest.(check bool) "resumed without a chain" true
+        ((Cv_core.Session.artifact s2).Cv_artifacts.Artifacts.state_abstractions
+        = None);
+      let outlier =
+        Array.map (fun x -> x +. 0.003) (Cv_interval.Box.upper din3)
+      in
+      ignore (Cv_core.Session.observe s2 outlier);
+      let report = Cv_core.Session.absorb_enlargement ~margin:0.001 s2 in
+      List.iter
+        (fun a ->
+          Alcotest.(check bool)
+            (Printf.sprintf "attempt %s did not crash (%s)"
+               a.Cv_core.Report.name
+               (Cv_core.Report.outcome_string a.Cv_core.Report.outcome))
+            false
+            (a.Cv_core.Report.name = "crashed"))
+        report.Cv_core.Report.attempts)
+
 let test_resume_file_truncated_artifact () =
   (* Fault injection: the artifact write stops halfway through, as if
      the process died mid-save with a non-atomic writer. Resume must
@@ -287,6 +333,8 @@ let () =
       ( "robustness",
         [ Alcotest.test_case "resume_file roundtrip" `Quick
             test_resume_file_roundtrip;
+          Alcotest.test_case "resume_file empty chain" `Quick
+            test_resume_file_empty_chain;
           Alcotest.test_case "truncated artifact" `Quick
             test_resume_file_truncated_artifact;
           Alcotest.test_case "checksum mismatch" `Quick
