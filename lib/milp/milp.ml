@@ -3,8 +3,10 @@
     The integer variables are binaries (which is all the big-M ReLU
     encoding needs). Branching is best-first on the LP relaxation bound
     — the frontier is a binary max-heap ({!Cv_util.Heap}), not a sorted
-    list — with most-fractional variable selection. An optional [cutoff]
-    lets verification queries stop early: when proving "max ≤ θ" it
+    list. The branching variable is the caller's [branch] pick when that
+    is a fractional binary, the most fractional binary otherwise;
+    {!Relu_encoding} passes a network-aware score (BaBSR). An optional
+    [cutoff] lets verification queries stop early: when proving "max ≤ θ" it
     suffices to fathom every node whose relaxation bound is ≤ θ, and to
     stop as soon as an integer-feasible point exceeds θ.
 
@@ -97,8 +99,10 @@ let t_seconds = Cv_util.Metrics.timer "milp.seconds"
    other option, and a poisoned subproblem would then hang the run. *)
 let max_dive_crashes = 5
 
+let fractional x = Float.abs (x -. Float.round x) > int_tol
+
 (* Most fractional binary, or None if all integral. *)
-let pick_branch_var binaries (values : float array) =
+let most_fractional binaries (values : float array) =
   let best = ref None and best_frac = ref int_tol in
   List.iter
     (fun v ->
@@ -110,6 +114,15 @@ let pick_branch_var binaries (values : float array) =
       end)
     binaries;
   !best
+
+(* The branching variable at an LP point: the [branch] chooser's pick
+   when it is a fractional declared binary, most-fractional otherwise.
+   Vetting the pick keeps every child strictly inside its parent, so no
+   chooser can make a dive loop on a repeated node. *)
+let pick_branch_var p branch values =
+  match Option.bind branch (fun choose -> choose values) with
+  | Some v when List.mem v p.binaries && fractional values.(v) -> Some v
+  | _ -> most_fractional p.binaries values
 
 (* One branch-and-bound solver slot: a compiled LP plus the binary
    fixings currently applied to it. Slot [i] is only ever touched by
@@ -234,6 +247,11 @@ let snapshot_of_json j =
     the seed and an [Optimal] with empty [values] is returned.
     [domains > 1] solves frontier nodes in parallel batches.
 
+    [branch] picks the branching variable at a node's LP point. Its pick
+    is used only when it is a fractional declared binary; otherwise (and
+    without [branch]) the most fractional binary is branched on. It is
+    called from every dive, so it must be pure.
+
     [checkpoint] snapshots the search state (frontier, incumbent,
     fathomed bounds) at the sink's cadence; [resume] restores such a
     snapshot instead of starting from the root node — the root LP is
@@ -245,7 +263,7 @@ let snapshot_of_json j =
     crashes degrade to a certified [Timeout] instead of killing the
     solve. *)
 let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
-    ?(domains = 1) ?max_iters ?checkpoint ?resume p terms =
+    ?(domains = 1) ?max_iters ?checkpoint ?resume ?branch p terms =
   Cv_util.Metrics.incr m_solves;
   Cv_util.Metrics.time t_seconds @@ fun () ->
   Cv_lp.Lp.set_objective p.lp ~maximize:true terms;
@@ -402,7 +420,7 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
                  primal-infeasible), which is all fathoming reads. *)
               emit (Efathom b)
             else (
-              match pick_branch_var p.binaries sol.Cv_lp.Lp.values with
+              match pick_branch_var p branch sol.Cv_lp.Lp.values with
               | None ->
                 if b > !local_inc then local_inc := b;
                 emit (Eincumbent { objective = b; values = sol.Cv_lp.Lp.values })
@@ -543,13 +561,13 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
     (negated) objective space, so a [checkpoint] written by a minimise
     call resumes correctly through [resume] of another minimise call. *)
 let minimize ?deadline ?cutoff ?known_feasible ?node_limit ?domains ?max_iters
-    ?checkpoint ?resume p terms =
+    ?checkpoint ?resume ?branch p terms =
   let neg_terms = List.map (fun (c, v) -> (-.c, v)) terms in
   let neg_cutoff = Option.map (fun t -> -.t) cutoff in
   let neg_known = Option.map (fun t -> -.t) known_feasible in
   match
     maximize ?deadline ?cutoff:neg_cutoff ?known_feasible:neg_known ?node_limit
-      ?domains ?max_iters ?checkpoint ?resume p neg_terms
+      ?domains ?max_iters ?checkpoint ?resume ?branch p neg_terms
   with
   | Optimal s -> Optimal { s with objective = -.s.objective }
   | Cutoff_reached s -> Cutoff_reached { s with objective = -.s.objective }

@@ -2,7 +2,9 @@
     (binary integer variables — all the big-M ReLU encoding needs).
 
     Branching is best-first on the LP relaxation bound (a binary
-    max-heap frontier) with most-fractional selection. The model is
+    max-heap frontier). The branching variable is the caller's [branch]
+    pick when that is a fractional binary, the most fractional binary
+    otherwise. The model is
     lowered once per solve; node relaxations are rhs updates solved by
     dual-simplex warm restarts from the previous optimal basis. The
     optional [cutoff] turns an optimisation into a decision: proving
@@ -55,8 +57,12 @@ val constraint_count : problem -> int
 (** [binary_count p] is the cached number of integer variables. *)
 val binary_count : problem -> int
 
+(** [fractional x] holds when the binary value [x] is further than the
+    integrality tolerance from 0 and 1. *)
+val fractional : float -> bool
+
 (** [maximize ?deadline ?cutoff ?known_feasible ?node_limit ?domains
-    ?max_iters p terms] maximises over the mixed-integer feasible set.
+    ?max_iters ?branch p terms] maximises over the mixed-integer feasible set.
     [known_feasible] is an externally certified feasible objective value
     that seeds the incumbent for pruning; if the search then closes
     without an explicit incumbent, an [Optimal] with empty [values] is
@@ -66,6 +72,14 @@ val binary_count : problem -> int
     (stalls degrade to [Timeout]). On deadline or node-budget
     exhaustion the search returns [Timeout] with the certified
     incumbent bound instead of hanging or raising.
+
+    [branch] is the branching rule's hook, meant for
+    {!Relu_encoding}: given a node's LP point (indexed by variable), it
+    names the variable to branch on. A pick that is not a fractional
+    declared binary is ignored in favour of the most fractional binary,
+    as is [None]; without [branch] the search is most-fractional
+    throughout. The chooser runs inside parallel dives, so it must not
+    share mutable state.
 
     [checkpoint] snapshots the search state (frontier bounds/fixings,
     incumbent, fathomed-bound high-water mark) at the sink's cadence;
@@ -83,12 +97,13 @@ val maximize :
   ?max_iters:int ->
   ?checkpoint:Cv_util.Checkpoint.t ->
   ?resume:Cv_util.Json.t ->
+  ?branch:(float array -> int option) ->
   problem ->
   Cv_lp.Lp.term list ->
   result
 
 (** [minimize ?deadline ?cutoff ?known_feasible ?node_limit ?domains
-    ?max_iters p terms] minimises by negating the objective; snapshots
+    ?max_iters ?branch p terms] minimises by negating the objective; snapshots
     stay in the internal negated space, so checkpoint and resume
     compose across minimise calls. *)
 val minimize :
@@ -100,6 +115,7 @@ val minimize :
   ?max_iters:int ->
   ?checkpoint:Cv_util.Checkpoint.t ->
   ?resume:Cv_util.Json.t ->
+  ?branch:(float array -> int option) ->
   problem ->
   Cv_lp.Lp.term list ->
   result

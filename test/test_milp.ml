@@ -300,15 +300,18 @@ let test_stalled_root_times_out () =
 (* ------------------------------------------------------------------ *)
 
 (* The exact simplex effort and optimum of one seeded ReLU MILP (24
-   binaries). The simplex's pivot choices are a deterministic function
-   of its float arithmetic, so these counts move whenever a change to
-   the LP layer alters any pivot decision — a speed-up that claims an
-   unchanged search path must leave them alone. Two domains must give
-   the same counts: the parallel search clones its worker states with
-   [Simplex.copy_state], and a clone must pivot exactly like the
-   original. (Here the whole search is one dive from the root, so the
-   two domains never pivot at the same time; test_lp's "parallel
-   copies match sequential" covers concurrent copies.) *)
+   binaries), solved with the encoding's BaBSR branching rule. The
+   simplex's pivot choices are a deterministic function of its float
+   arithmetic, so these counts move whenever a change to the LP layer
+   alters any pivot decision, and so does the branching order — a
+   speed-up that claims an unchanged search path must leave them alone.
+   (Under most-fractional branching the same solve took 509 nodes and
+   4 779 pivots, and its optimum differed from this one by 17 ulp.)
+   Two domains must give the same counts: the parallel search clones
+   its worker states with [Simplex.copy_state], and a clone must pivot
+   exactly like the original. (Here the whole search is one dive from
+   the root, so the two domains never pivot at the same time; test_lp's
+   "parallel copies match sequential" covers concurrent copies.) *)
 let test_search_path_pin () =
   let names =
     [ "lp.pivots"; "lp.iterations"; "milp.nodes"; "lp.warmstart.hits";
@@ -329,15 +332,123 @@ let test_search_path_pin () =
         (fun name (want, got) ->
           Alcotest.(check int) (Printf.sprintf "%s (domains %d)" name domains) want got)
         names
-        (List.combine [ 4779; 5266; 509; 504; 6; 0 ] effort);
+        (List.combine [ 1098; 1238; 141; 140; 2; 0 ] effort);
       match r with
       | Cv_milp.Milp.Optimal s ->
         Alcotest.(check int64)
           (Printf.sprintf "optimum bits (domains %d)" domains)
-          4596736207253034511L
+          4596736207253034494L
           (Int64.bits_of_float s.Cv_milp.Milp.objective)
       | _ -> Alcotest.fail "expected optimal")
     [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Branching rule                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let nodes_of f =
+  let c = Cv_util.Metrics.counter "milp.nodes" in
+  let before = Cv_util.Metrics.value c in
+  let r = f () in
+  (r, Cv_util.Metrics.value c - before)
+
+let objective = function
+  | Cv_milp.Milp.Optimal s -> s.Cv_milp.Milp.objective
+  | _ -> Alcotest.fail "expected optimal"
+
+let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs a)
+
+(* The branching order changes the search, never its answer: the
+   encoding's optima equal plain most-fractional B&B on the same
+   problem, on nets with 2–3 hidden layers and 1–2 outputs. *)
+let branching_exact_prop =
+  QCheck.Test.make ~name:"encoding branching keeps the exact optima"
+    ~count:25
+    QCheck.(
+      quad (int_range 1 10_000) (int_range 2 3)
+        (list_of_size (Gen.int_range 2 3) (int_range 3 6))
+        (int_range 1 2))
+    (fun (seed, in_dim, hidden, outs) ->
+      let net = Gen.net_of seed ((in_dim :: hidden) @ [ outs ]) in
+      let box = Cv_interval.Box.uniform in_dim ~lo:(-1.) ~hi:1. in
+      let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
+      List.for_all
+        (fun o ->
+          let e = enc.Cv_milp.Relu_encoding.outputs.(o) in
+          let c = e.Cv_milp.Relu_encoding.const
+          and terms = e.Cv_milp.Relu_encoding.terms in
+          let p = enc.Cv_milp.Relu_encoding.problem in
+          close
+            (objective (Cv_milp.Relu_encoding.max_output enc ~output:o))
+            (objective (Cv_milp.Milp.maximize p terms) +. c)
+          && close
+               (objective (Cv_milp.Relu_encoding.min_output enc ~output:o))
+               (objective (Cv_milp.Milp.minimize p terms) +. c))
+        (List.init outs Fun.id))
+
+(* A chooser pick that is not a fractional binary is ignored in favour
+   of most-fractional, so each of these searches is the chooser-free
+   one, node for node. *)
+let test_bad_chooser_ignored () =
+  let net = Gen.net_of 2 [ 4; 12; 12; 1 ] in
+  let box = Cv_interval.Box.uniform 4 ~lo:(-1.) ~hi:1. in
+  let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
+  let p = enc.Cv_milp.Relu_encoding.problem in
+  let terms =
+    enc.Cv_milp.Relu_encoding.outputs.(0).Cv_milp.Relu_encoding.terms
+  in
+  let input0 = enc.Cv_milp.Relu_encoding.input_vars.(0) in
+  let integral_binary values =
+    match
+      List.find_opt
+        (fun v -> not (Cv_milp.Milp.fractional values.(v)))
+        p.Cv_milp.Milp.binaries
+    with
+    | Some v -> Some v
+    | None -> Some input0
+  in
+  let solve branch =
+    nodes_of (fun () -> Cv_milp.Milp.maximize ?branch p terms)
+  in
+  let want, want_nodes = solve None in
+  List.iter
+    (fun (name, choose) ->
+      let got, got_nodes = solve (Some choose) in
+      Alcotest.(check int64)
+        (name ^ ": optimum")
+        (Int64.bits_of_float (objective want))
+        (Int64.bits_of_float (objective got));
+      Alcotest.(check int) (name ^ ": nodes") want_nodes got_nodes)
+    [ ("integral binary", integral_binary);
+      ("continuous var", fun _ -> Some input0);
+      ("negative index", fun _ -> Some (-1));
+      ("past the last var", fun v -> Some (Array.length v + 5));
+      ("no pick", fun _ -> None) ]
+
+(* On the pin net the encoding's rule needs fewer nodes than
+   most-fractional with the same sampling seed (both counts are
+   deterministic: 141 against 509 when written). *)
+let test_branching_saves_nodes () =
+  let net = Gen.net_of 2 [ 4; 12; 12; 1 ] in
+  let box = Cv_interval.Box.uniform 4 ~lo:(-1.) ~hi:1. in
+  let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
+  let e = enc.Cv_milp.Relu_encoding.outputs.(0) in
+  let c = e.Cv_milp.Relu_encoding.const in
+  let seed, _ = enc.Cv_milp.Relu_encoding.seeds.(0).(0) in
+  let babsr, babsr_nodes =
+    nodes_of (fun () -> Cv_milp.Relu_encoding.max_output enc ~output:0)
+  in
+  let most_frac, most_frac_nodes =
+    nodes_of (fun () ->
+        Cv_milp.Milp.maximize ~known_feasible:(seed -. c)
+          enc.Cv_milp.Relu_encoding.problem e.Cv_milp.Relu_encoding.terms)
+  in
+  Alcotest.(check bool) "same optimum" true
+    (close (objective babsr) (objective most_frac +. c));
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer nodes (%d < %d)" babsr_nodes most_frac_nodes)
+    true
+    (babsr_nodes < most_frac_nodes)
 
 let () =
   Alcotest.run "cv_milp"
@@ -365,4 +476,10 @@ let () =
           Alcotest.test_case "rejects sigmoid" `Quick
             test_encoding_rejects_sigmoid;
           Alcotest.test_case "cutoff decision queries" `Quick
-            test_cutoff_decision_queries ] ) ]
+            test_cutoff_decision_queries ] );
+      ( "branching",
+        [ Alcotest.test_case "bad chooser picks ignored" `Quick
+            test_bad_chooser_ignored;
+          Alcotest.test_case "fewer nodes than most-fractional" `Quick
+            test_branching_saves_nodes;
+          QCheck_alcotest.to_alcotest branching_exact_prop ] ) ]
