@@ -5,9 +5,9 @@
 all: build
 
 # What CI runs: full build, test suite, formatting gate, bench smoke
-# (writes the BENCH_PR4.json perf trajectory), serve smoke, certificate
-# soundness fuzzing.
-ci: build test fmt quickbench servesmoke certfuzz
+# (writes the BENCH_PR4.json perf trajectory), serve smoke, examples
+# smoke, certificate soundness fuzzing.
+ci: build test fmt quickbench servesmoke examples certfuzz
 
 fmt:
 	dune build @fmt

@@ -104,58 +104,15 @@ let emit_cert_arg =
            arithmetic only. Best-effort: a verdict outside the certifiable \
            fragment prints a warning and writes nothing.")
 
-(* Safe-network emission ladder: the interval chain / split tree first
-   (cheap, covers most proved properties), the MILP goal certificates
-   when bisection alone cannot close the bound. *)
-let safe_network_cert ~mode ~solver ~fingerprint net ~din ~dout =
-  match Cv_cert.Emit.safe_cert ~mode ~solver ~fingerprint net ~din ~dout with
-  | Some c -> Some c
-  | None ->
-    Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout
-
-(* "prop3" (a Strategy attempt name) -> "Proposition 3". *)
-let proposition_of_route route =
-  let n = String.length route in
-  if n > 4 && String.sub route 0 4 = "prop" then
-    "Proposition " ^ String.sub route 4 (n - 4)
-  else route
-
-(* Wrap an incremental run's certificate in the reuse frame recording
-   which decision route settled the verdict; an unwrappable frame
-   degrades to the inner certificate. *)
-let reuse_wrapped ~route ~dout cert =
-  let slack =
-    match cert.Cv_cert.Cert.proof with
-    | Cv_cert.Cert.P_chain boxes -> Cv_cert.Check.chain_slack ~dout boxes
-    | _ -> 0.
-  in
-  match
-    Cv_cert.Emit.reuse_cert ~route ~proposition:(proposition_of_route route)
-      ~slack cert
-  with
-  | Some wrapped -> Some wrapped
-  | None -> Some cert
-
-(* Persist (checksummed envelope) and mirror into the artifact cache
-   under the content-addressed key fingerprint × D_in hash ×
-   "cert:<mode>". *)
-let write_cert ?cache ~din path cert =
-  Cv_artifacts.Artifacts.save_doc ~format:Cv_cert.Cert.envelope_format path
-    (Cv_cert.Cert.to_json cert);
-  Option.iter
-    (fun c ->
-      Cv_artifacts.Cache.store c
-        ~fingerprint:cert.Cv_cert.Cert.fingerprint
-        ~box_hash:(Cv_artifacts.Cache.box_hash din)
-        ~kind:("cert:" ^ cert.Cv_cert.Cert.mode)
-        (Cv_cert.Cert.to_json cert))
-    cache;
-  Printf.printf "certificate (%s proof) written to %s\n"
-    (Cv_cert.Cert.proof_kind cert.Cv_cert.Cert.proof)
-    path
-
-let emit_cert_to ?cache ~din path = function
-  | Some cert -> write_cert ?cache ~din path cert
+(* Persist a certificate (checksummed envelope), or warn that the
+   verdict has none. *)
+let emit_cert_to path = function
+  | Some cert ->
+    Cv_artifacts.Artifacts.save_doc ~format:Cv_cert.Cert.envelope_format path
+      (Cv_cert.Cert.to_json cert);
+    Printf.printf "certificate (%s proof) written to %s\n"
+      (Cv_cert.Cert.proof_kind cert.Cv_cert.Cert.proof)
+      path
   | None ->
     Printf.eprintf
       "contiver: warning: no certificate emitted (verdict outside the \
@@ -398,6 +355,12 @@ let string_of_unknown (u : Cv_verify.Containment.unknown) =
     | None -> ""
     | Some b -> Printf.sprintf " [best bound %.6g]" b)
 
+(* A budget expiry is a structured, expected outcome of a bounded run,
+   not a failure of the tool: exit 0. Everything else unproved is 1. *)
+let exit_of_outcome = function
+  | Cv_core.Report.Safe | Cv_core.Report.Exhausted _ -> Cmd.Exit.ok
+  | _ -> 1
+
 let verify verbose model property artifact_out emit_cert exact widen timeout
     stats trace_json checkpoint checkpoint_every resume =
   run @@ fun () ->
@@ -412,9 +375,7 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
   let checkpoint, resume =
     setup_checkpointing ~kind:Cv_core.Runstate.Verify
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
-      ~scope:
-        (Cv_core.Runstate.property_scope ~din:prop.Cv_verify.Property.din
-           ~dout:prop.Cv_verify.Property.dout ())
+      ~scope:(Cv_core.Runstate.property_scope prop)
       ~checkpoint ~every:checkpoint_every ~resume
   in
   let deadline = deadline_of timeout in
@@ -440,31 +401,16 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
     Printf.printf "proof artifacts written to %s\n" artifact_out
   end
   else Printf.printf "no artifact written (property not proved)\n";
+  let outcome = Cv_core.Report.of_verdict verdict in
   Option.iter
     (fun path ->
-      let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-      let solver =
-        original.Cv_core.Strategy.artifact.Cv_artifacts.Artifacts.solver
-      in
-      let din = prop.Cv_verify.Property.din
-      and dout = prop.Cv_verify.Property.dout in
-      emit_cert_to ~din path
-        (match verdict with
-        | Cv_verify.Containment.Proved ->
-          safe_network_cert ~mode:"verify" ~solver ~fingerprint net ~din ~dout
-        | Cv_verify.Containment.Violated v ->
-          Cv_cert.Emit.unsafe_cert ~mode:"verify" ~solver ~fingerprint net
-            ~din ~dout ~x:v.Cv_verify.Falsify.input
-        | Cv_verify.Containment.Unknown _ -> None))
+      emit_cert_to path
+        (Cv_core.Certify.certify ~mode:"verify"
+           ~solver:
+             original.Cv_core.Strategy.artifact.Cv_artifacts.Artifacts.solver
+           net prop outcome))
     emit_cert;
-  (* A budget expiry is a structured, expected outcome of a bounded run,
-     not a failure of the tool: exit 0. Everything else unproved is 1. *)
-  match verdict with
-  | Cv_verify.Containment.Proved -> Cmd.Exit.ok
-  | Cv_verify.Containment.Unknown
-      { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout; _ } ->
-    Cmd.Exit.ok
-  | _ -> 1
+  exit_of_outcome outcome
 
 let verify_cmd =
   let property =
@@ -506,37 +452,7 @@ let print_report report original_seconds =
     (100.
     *. Cv_core.Strategy.ratio ~incremental:report.Cv_core.Report.total_wall
          ~original:original_seconds);
-  match report.Cv_core.Report.verdict with
-  | Cv_core.Report.Safe -> Cmd.Exit.ok
-  | Cv_core.Report.Exhausted _ ->
-    (* Budget expiry is a structured, expected outcome of a bounded run. *)
-    Cmd.Exit.ok
-  | _ -> 1
-
-(* Incremental runs certify the re-established property: the enlarged
-   (or inherited) input domain against the artifact's output box, on
-   the network that was actually verified, wrapped in the reuse frame
-   naming the decisive route. *)
-let emit_incremental_cert ~mode ~path net ~din ~dout
-    (report : Cv_core.Report.t) =
-  match report.Cv_core.Report.verdict with
-  | Cv_core.Report.Safe ->
-    let solver =
-      Option.value ~default:"strategy" report.Cv_core.Report.decisive
-    in
-    let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-    let inner = safe_network_cert ~mode ~solver ~fingerprint net ~din ~dout in
-    emit_cert_to ~din path
-      (match (inner, report.Cv_core.Report.decisive) with
-      | Some c, Some route -> reuse_wrapped ~route ~dout c
-      | _ -> inner)
-  | Cv_core.Report.Unsafe v ->
-    let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-    emit_cert_to ~din path
-      (Cv_cert.Emit.unsafe_cert ~mode ~solver:"falsify" ~fingerprint net ~din
-         ~dout ~x:v.Cv_verify.Falsify.input)
-  | Cv_core.Report.Inconclusive _ | Cv_core.Report.Exhausted _ ->
-    emit_cert_to ~din path None
+  exit_of_outcome report.Cv_core.Report.verdict
 
 let svudc verbose model artifact new_din emit_cert engine timeout stats
     trace_json checkpoint checkpoint_every resume =
@@ -546,17 +462,14 @@ let svudc verbose model artifact new_din emit_cert engine timeout stats
   let net = load_network model in
   let artifact = load_artifact artifact in
   let new_din = load_box new_din in
+  let p = Cv_core.Problem.svudc ~net ~artifact ~new_din in
+  let prop = Cv_core.Problem.svudc_property p in
   let checkpoint, resume =
     setup_checkpointing ~kind:Cv_core.Runstate.Svudc
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
-      ~scope:
-        (Cv_core.Runstate.property_scope ~din:new_din
-           ~dout:
-             artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-           ())
+      ~scope:(Cv_core.Runstate.property_scope prop)
       ~checkpoint ~every:checkpoint_every ~resume
   in
-  let p = Cv_core.Problem.svudc ~net ~artifact ~new_din in
   let config = { Cv_core.Strategy.default_config with Cv_core.Strategy.engine } in
   let report =
     Cv_core.Strategy.solve_svudc ?deadline:(deadline_of timeout) ~config
@@ -564,9 +477,10 @@ let svudc verbose model artifact new_din emit_cert engine timeout stats
   in
   Option.iter
     (fun path ->
-      emit_incremental_cert ~mode:"svudc" ~path net ~din:new_din
-        ~dout:artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-        report)
+      emit_cert_to path
+        (Cv_core.Certify.certify ~mode:"svudc"
+           ?route:report.Cv_core.Report.decisive net prop
+           report.Cv_core.Report.verdict))
     emit_cert;
   print_report report artifact.Cv_artifacts.Artifacts.solve_seconds
 
@@ -600,6 +514,8 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
     | Some path -> load_box path
     | None -> artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.din
   in
+  let p = Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
+  let prop = Cv_core.Problem.svbtv_property p in
   (* The checkpoint is bound to the network under verification — the
      fine-tuned successor — and, via the scope, to the reference
      network the artifact speaks about. *)
@@ -609,13 +525,9 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
       ~scope:
         (Cv_core.Runstate.property_scope
            ~old_fingerprint:(Cv_artifacts.Artifacts.fingerprint old_net)
-           ~din:new_din
-           ~dout:
-             artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-           ())
+           prop)
       ~checkpoint ~every:checkpoint_every ~resume
   in
-  let p = Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
   Printf.printf "parameter drift (Linf): %.5g\n" (Cv_core.Problem.drift p);
   let config =
     { Cv_core.Strategy.default_config with
@@ -628,9 +540,10 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
   in
   Option.iter
     (fun path ->
-      emit_incremental_cert ~mode:"svbtv" ~path new_net ~din:new_din
-        ~dout:artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-        report)
+      emit_cert_to path
+        (Cv_core.Certify.certify ~mode:"svbtv"
+           ?route:report.Cv_core.Report.decisive new_net prop
+           report.Cv_core.Report.verdict))
     emit_cert;
   print_report report artifact.Cv_artifacts.Artifacts.solve_seconds
 
@@ -1181,50 +1094,26 @@ let batch verbose manifest jobs timeout engine no_cache cache_dir
     Printf.printf "cache: %d hits  %d misses  %d evictions\n"
       s.Cv_artifacts.Cache.hits s.Cv_artifacts.Cache.misses
       s.Cv_artifacts.Cache.evictions);
-  (match emit_certs with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    List.iter
-      (fun (r : Cv_core.Batch.job_result) ->
-        if r.Cv_core.Batch.verdict = Cv_core.Batch.Safe then
-          List.find_opt
-            (fun j -> String.equal j.Cv_core.Batch.id r.Cv_core.Batch.job_id)
-            manifest_jobs
-          |> Option.iter (fun job ->
-                 let mode = "batch:" ^ r.Cv_core.Batch.job_id in
-                 let path =
-                   Filename.concat dir (r.Cv_core.Batch.job_id ^ ".cert.json")
-                 in
-                 let emit net ~din ~dout ~route =
-                   let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-                   let solver = Option.value ~default:"strategy" route in
-                   let inner =
-                     safe_network_cert ~mode ~solver ~fingerprint net ~din
-                       ~dout
-                   in
-                   emit_cert_to ?cache ~din path
-                     (match (inner, route) with
-                     | Some c, Some route -> reuse_wrapped ~route ~dout c
-                     | _ -> inner)
-                 in
-                 match job.Cv_core.Batch.spec with
-                 | Cv_core.Batch.Verify { net; prop; _ } ->
-                   emit net ~din:prop.Cv_verify.Property.din
-                     ~dout:prop.Cv_verify.Property.dout ~route:None
-                 | Cv_core.Batch.Svudc { net; artifact; new_din } ->
-                   emit net ~din:new_din
-                     ~dout:
-                       artifact.Cv_artifacts.Artifacts.property
-                         .Cv_verify.Property.dout
-                     ~route:r.Cv_core.Batch.decisive
-                 | Cv_core.Batch.Svbtv { new_net; artifact; new_din; _ } ->
-                   emit new_net ~din:new_din
-                     ~dout:
-                       artifact.Cv_artifacts.Artifacts.property
-                         .Cv_verify.Property.dout
-                     ~route:r.Cv_core.Batch.decisive))
-      t.Cv_core.Batch.results);
+  Option.iter
+    (fun dir ->
+      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      List.iter2
+        (fun (job : Cv_core.Batch.job) (r : Cv_core.Batch.job_result) ->
+          if r.verdict = Cv_core.Batch.Safe then begin
+            let net, prop = Cv_core.Batch.question job.spec in
+            (* A verify job reuses nothing: bare proof, generic label. *)
+            let route =
+              match job.spec with
+              | Cv_core.Batch.Verify _ -> None
+              | _ -> r.decisive
+            in
+            emit_cert_to
+              (Filename.concat dir (r.job_id ^ ".cert.json"))
+              (Cv_core.Certify.certify ~mode:("batch:" ^ r.job_id) ?route net
+                 prop Cv_core.Report.Safe)
+          end)
+        manifest_jobs t.Cv_core.Batch.results)
+    emit_certs;
   (match report_out with
   | None -> ()
   | Some path ->
@@ -1352,9 +1241,10 @@ let check_cert verbose file max_split_nodes =
   setup_logs verbose;
   (* Accept both the checksummed envelope `--emit-cert` writes and a
      bare certificate document (e.g. a test fixture). *)
+  let doc = load_json file in
   let payload =
-    match Cv_util.Json.member_opt "payload" (load_json file) with
-    | None -> load_json file
+    match Cv_util.Json.member_opt "payload" doc with
+    | None -> doc
     | Some _ -> (
       match
         Cv_artifacts.Artifacts.load_doc_result

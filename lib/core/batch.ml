@@ -233,10 +233,25 @@ let done_path dir job = Filename.concat dir (sanitize job.id ^ ".done.json")
 
 let ck_path dir job = Filename.concat dir (sanitize job.id ^ ".ck.json")
 
-let spec_kind_fingerprint = function
-  | Verify { net; _ } -> (Runstate.Verify, Artifacts.fingerprint net)
-  | Svudc { net; _ } -> (Runstate.Svudc, Artifacts.fingerprint net)
-  | Svbtv { new_net; _ } -> (Runstate.Svbtv, Artifacts.fingerprint new_net)
+(* What a job asks, read off [spec] in one place: its checkpoint kind,
+   the reference network an svbtv artifact speaks about, and the
+   (network, property) question. *)
+let ask spec =
+  let over din (a : Artifacts.t) = { a.Artifacts.property with Property.din } in
+  match spec with
+  | Verify { net; prop; _ } -> (Runstate.Verify, None, net, prop)
+  | Svudc { net; artifact; new_din } ->
+    (Runstate.Svudc, None, net, over new_din artifact)
+  | Svbtv { old_net; new_net; artifact; new_din } ->
+    (Runstate.Svbtv, Some old_net, new_net, over new_din artifact)
+
+let question spec =
+  let _, _, net, prop = ask spec in
+  (net, prop)
+
+let spec_kind_fingerprint spec =
+  let kind, _, net, _ = ask spec in
+  (kind, Artifacts.fingerprint net)
 
 (* Digest of what the job verifies: the property's domains, plus (for
    svbtv) the reference network the artifact speaks about. Together
@@ -244,16 +259,11 @@ let spec_kind_fingerprint = function
    checkpoint to one exact verification question — a retrained network
    or an edited property under a reused --checkpoint-dir must re-run,
    never replay the stale verdict. *)
-let spec_scope = function
-  | Verify { prop; _ } ->
-    Runstate.property_scope ~din:prop.Property.din ~dout:prop.Property.dout ()
-  | Svudc { artifact; new_din; _ } ->
-    Runstate.property_scope ~din:new_din
-      ~dout:artifact.Artifacts.property.Property.dout ()
-  | Svbtv { old_net; artifact; new_din; _ } ->
-    Runstate.property_scope
-      ~old_fingerprint:(Artifacts.fingerprint old_net)
-      ~din:new_din ~dout:artifact.Artifacts.property.Property.dout ()
+let spec_scope spec =
+  let _, old_net, _, prop = ask spec in
+  Runstate.property_scope
+    ?old_fingerprint:(Option.map Artifacts.fingerprint old_net)
+    prop
 
 (* The done-file wraps the result row with the job's identity
    (fingerprint + property scope); replay validates id, mode,
@@ -354,27 +364,26 @@ type settled = {
   s_detail : string;
 }
 
+let verdict_of_outcome = function
+  | Report.Safe -> (Safe, "proved")
+  | Report.Unsafe _ -> (Unsafe, "counterexample found")
+  | Report.Inconclusive msg -> (Inconclusive, msg)
+  | Report.Exhausted msg -> (Exhausted, msg)
+
 let settled_of_report (r : Report.t) =
-  let verdict, detail =
-    match r.verdict with
-    | Report.Safe -> (Safe, "proved")
-    | Report.Unsafe _ -> (Unsafe, "counterexample found")
-    | Report.Inconclusive msg -> (Inconclusive, msg)
-    | Report.Exhausted msg -> (Exhausted, msg)
-  in
+  let verdict, detail = verdict_of_outcome r.verdict in
   { s_verdict = verdict;
     s_decisive = r.decisive;
     s_attempts = List.length r.attempts;
     s_detail = detail }
 
+(* An exact solve that crashed beyond its retries is a crashed job. *)
 let verdict_of_containment = function
-  | Cv_verify.Containment.Proved -> (Safe, "proved")
-  | Cv_verify.Containment.Violated _ -> (Unsafe, "counterexample found")
-  | Cv_verify.Containment.Unknown u -> (
-    match u.Cv_verify.Containment.reason with
-    | Cv_verify.Containment.Timeout -> (Exhausted, u.Cv_verify.Containment.message)
-    | Cv_verify.Containment.Crash -> (Crashed, u.Cv_verify.Containment.message)
-    | _ -> (Inconclusive, u.Cv_verify.Containment.message))
+  | Cv_verify.Containment.Unknown
+      { Cv_verify.Containment.reason = Cv_verify.Containment.Crash; message; _ }
+    ->
+    (Crashed, message)
+  | v -> verdict_of_outcome (Report.of_verdict v)
 
 (* The cached abstract route of a plain verify job: the chain is the
    content-addressed artifact, so the second job on the same

@@ -49,6 +49,12 @@ type spec =
       new_din : Cv_interval.Box.t;
     }
 
+(** [question spec] is what the job asks: the network under
+    verification (the fine-tuned successor for [Svbtv]) and the
+    property it must satisfy (the artifact's [D_out] over [new_din] for
+    the incremental modes). *)
+val question : spec -> Cv_nn.Network.t * Cv_verify.Property.t
+
 type job = {
   id : string;  (** unique, non-empty; names checkpoint files *)
   spec : spec;

@@ -15,6 +15,18 @@ type outcome =
       (** the resource budget (deadline/fuel) ran out before the attempt
           could decide; the property's status is unchanged *)
 
+(** [of_verdict v] reads a whole-property verdict as an outcome. *)
+let of_verdict = function
+  | Cv_verify.Containment.Proved -> Safe
+  | Cv_verify.Containment.Violated v -> Unsafe v
+  | Cv_verify.Containment.Unknown
+      { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
+        message;
+        _ } ->
+    Exhausted message
+  | Cv_verify.Containment.Unknown u ->
+    Inconclusive u.Cv_verify.Containment.message
+
 type timing = {
   wall : float;  (** actual wall-clock seconds of the attempt *)
   parallel : float;

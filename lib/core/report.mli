@@ -15,6 +15,10 @@ type outcome =
       (** the resource budget (deadline/fuel) ran out before the attempt
           could decide; the property's status is unchanged *)
 
+(** [of_verdict v] reads a whole-property verdict as an outcome: a
+    budget expiry is [Exhausted], any other unknown [Inconclusive]. *)
+val of_verdict : Cv_verify.Containment.verdict -> outcome
+
 type timing = {
   wall : float;  (** actual wall-clock seconds of the attempt *)
   parallel : float;

@@ -34,15 +34,16 @@ let resume_error_message = function
   | Corrupt_checkpoint msg -> msg
   | Checkpoint_mismatch msg -> msg
 
-(** [property_scope ?old_fingerprint ~din ~dout ()] is an opaque digest
-    of {e what} is being verified — the input/output domains and, for
-    differential (svbtv) runs, the reference network — used as the
-    [scope] of {!save}/{!load} so a checkpoint taken for one property
-    can never resume a run of another. *)
-let property_scope ?old_fingerprint ~din ~dout () =
+(** [property_scope ?old_fingerprint prop] is an opaque digest of
+    {e what} is being verified — the property's input/output domains
+    and, for differential (svbtv) runs, the reference network — used as
+    the [scope] of {!save}/{!load} so a checkpoint taken for one
+    property can never resume a run of another. *)
+let property_scope ?old_fingerprint (prop : Cv_verify.Property.t) =
   String.concat ":"
-    ((match old_fingerprint with None -> [] | Some fp -> [ fp ])
-    @ [ Cv_artifacts.Cache.box_hash din; Cv_artifacts.Cache.box_hash dout ])
+    (Option.to_list old_fingerprint
+    @ List.map Cv_artifacts.Cache.box_hash
+        [ prop.Cv_verify.Property.din; prop.Cv_verify.Property.dout ])
 
 (** [save ?scope ~path ~kind ~fingerprint payload] writes a checkpoint
     atomically and durably (unique tmp + fsync + rename — see

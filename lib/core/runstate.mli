@@ -19,16 +19,11 @@ type resume_error =
 (** [resume_error_message e] renders a one-line diagnosis. *)
 val resume_error_message : resume_error -> string
 
-(** [property_scope ?old_fingerprint ~din ~dout ()] is an opaque digest
-    of what is being verified — the input/output domains and, for
+(** [property_scope ?old_fingerprint prop] is an opaque digest of what
+    is being verified — the property's input/output domains and, for
     differential (svbtv) runs, the reference network's fingerprint —
     for use as the [scope] of {!save}/{!load}. *)
-val property_scope :
-  ?old_fingerprint:string ->
-  din:Cv_interval.Box.t ->
-  dout:Cv_interval.Box.t ->
-  unit ->
-  string
+val property_scope : ?old_fingerprint:string -> Cv_verify.Property.t -> string
 
 (** [save ?scope ~path ~kind ~fingerprint payload] writes a checkpoint
     atomically and durably, recording the property scope when given. *)

@@ -203,20 +203,8 @@ let full_verify ?deadline ?(config = default_config) net prop =
              ~fallback:config.engine net prop)
             .Cv_verify.Verifier.report)
   in
-  let outcome =
-    match report.Cv_verify.Verifier.verdict with
-    | Cv_verify.Containment.Proved -> Report.Safe
-    | Cv_verify.Containment.Violated v -> Report.Unsafe v
-    | Cv_verify.Containment.Unknown
-        { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
-          message;
-          _ } ->
-      Report.Exhausted message
-    | Cv_verify.Containment.Unknown u ->
-      Report.Inconclusive u.Cv_verify.Containment.message
-  in
   { Report.name = "full";
-    outcome;
+    outcome = Report.of_verdict report.Cv_verify.Verifier.verdict;
     timing = Report.sequential_timing wall;
     detail =
       (match deadline with

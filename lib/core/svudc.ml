@@ -25,18 +25,11 @@ let old_property (p : Problem.svudc) =
    only Proved transfers; everything else is inconclusive — except a
    timeout, which exhausts the whole run's budget. *)
 let subproblem_outcome = function
-  | Cv_verify.Containment.Proved -> Report.Safe
   | Cv_verify.Containment.Violated v ->
     Report.Inconclusive
       (Printf.sprintf "reuse condition violated (margin %.4g at output %d)"
          v.Cv_verify.Falsify.margin v.Cv_verify.Falsify.neuron)
-  | Cv_verify.Containment.Unknown
-      { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
-        message;
-        _ } ->
-    Report.Exhausted message
-  | Cv_verify.Containment.Unknown u ->
-    Report.Inconclusive u.Cv_verify.Containment.message
+  | v -> Report.of_verdict v
 
 (** [trivial p] — the degenerate shortcut: if the "enlarged" domain is
     in fact contained in the proved [D_in], the old proof applies

@@ -10,6 +10,17 @@ let net_of seed dims =
   Cv_nn.Network.random ~rng:(Cv_util.Rng.create seed) ~dims
     ~act:Cv_nn.Activation.Relu ()
 
+(* The paper's Fig. 2 network: y = relu(2 h1 + 2 h2 - h3) over three
+   ReLUs, exact maximum 6 on [-1, 1]^2 (at x = (-1, 1)). *)
+let fig2_net () =
+  Cv_nn.Network.of_list
+    [ Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+        [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+      Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |] ])
+        [| 0. |] Cv_nn.Activation.Relu ]
+
 (* The 3→6→5→1 ReLU net used by the query/batch suites. *)
 let net3 seed = net_of seed [ 3; 6; 5; 1 ]
 

@@ -407,6 +407,45 @@ let test_job_result_json_roundtrip () =
   Alcotest.(check bool) "round-trip" true
     (Batch.job_result_of_json (Batch.job_result_to_json r) = r)
 
+(* [question] is what each mode asks: the verified network (the
+   successor for svbtv) and the target property over its D_in; every
+   safe job's question certifies checker-valid through its decisive
+   route. *)
+let test_question_certifies () =
+  let find id = List.find (fun (j : Batch.job) -> j.Batch.id = id) pool in
+  let dout = artifact.Artifacts.property.Cv_verify.Property.dout in
+  List.iter
+    (fun (id, want_din) ->
+      let job = find id in
+      let net', prop = Batch.question job.Batch.spec in
+      let want_net =
+        match job.Batch.spec with
+        | Batch.Svbtv { new_net; _ } -> new_net
+        | _ -> net
+      in
+      Alcotest.(check bool) (id ^ " network") true (net' == want_net);
+      Alcotest.(check bool) (id ^ " D_in") true
+        (Box.equal prop.Cv_verify.Property.din want_din);
+      Alcotest.(check bool) (id ^ " D_out") true
+        (Box.equal prop.Cv_verify.Property.dout
+           (if id = "safe1" then safe_prop.Cv_verify.Property.dout else dout)))
+    [ ("safe1", din); ("svudc1", enlarged_din); ("svbtv1", din) ];
+  let t = Batch.run (List.map find [ "safe1"; "svudc1"; "svbtv1" ]) in
+  List.iter
+    (fun (r : Batch.job_result) ->
+      Alcotest.(check string) (r.Batch.job_id ^ " safe") "safe"
+        (Batch.verdict_name r.Batch.verdict);
+      let net', prop = Batch.question (find r.Batch.job_id).Batch.spec in
+      match
+        Cv_core.Certify.certify ~mode:"batch" ~solver:"test"
+          ?route:r.Batch.decisive net' prop Cv_core.Report.Safe
+      with
+      | Some cert ->
+        Alcotest.(check string) (r.Batch.job_id ^ " valid") "valid"
+          (Cv_cert.Check.verdict_string (Cv_cert.Check.check cert))
+      | None -> Alcotest.failf "%s: no certificate" r.Batch.job_id)
+    t.Batch.results
+
 let () =
   Alcotest.run "cv_batch"
     [ ( "scheduling",
@@ -421,7 +460,9 @@ let () =
           Alcotest.test_case "stale done-file ignored" `Quick
             test_stale_done_file_ignored;
           Alcotest.test_case "job result json round-trip" `Quick
-            test_job_result_json_roundtrip ] );
+            test_job_result_json_roundtrip;
+          Alcotest.test_case "question certifies" `Quick
+            test_question_certifies ] );
       ( "cache",
         [ Alcotest.test_case "hit/miss accounting" `Quick
             test_cache_accounting;

@@ -572,6 +572,160 @@ let strategy_soundness_prop =
         sample_check_safe net' ~din:new_din ~dout ~samples:1000
       | _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Certification of settled queries                                    *)
+(* ------------------------------------------------------------------ *)
+
+let fig2_prop ~lo ~hi =
+  Cv_verify.Property.make
+    ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
+    ~dout:(Cv_interval.Box.of_bounds [| lo |] [| hi |])
+
+(* Certify and require the trusted checker to accept the result. *)
+let certify_valid ?route what net prop outcome =
+  match Cv_core.Certify.certify ~mode:"test" ?route net prop outcome with
+  | None -> Alcotest.failf "%s: no certificate" what
+  | Some cert -> (
+    match Cv_cert.Check.check cert with
+    | Cv_cert.Check.Valid -> cert
+    | Cv_cert.Check.Invalid r -> Alcotest.failf "%s rejected: %s" what r)
+
+let proof_kind (cert : Cv_cert.Cert.t) =
+  Cv_cert.Cert.proof_kind cert.Cv_cert.Cert.proof
+
+(* Every attempt name Strategy.solve_svudc / solve_svbtv can settle a
+   query with, and the label its reuse frame must carry ([None]: bare
+   proof, nothing was reused). *)
+let route_labels =
+  [ ("trivial", Some "trivial");
+    ("prop3", Some "Proposition 3");
+    ("prop1", Some "Proposition 1");
+    ("prop2", Some "Proposition 2");
+    ("delta-cover", Some "delta-cover");
+    ("prop6", Some "Proposition 6");
+    ("prop6-interval", Some "Proposition 6");
+    ("leaf-reuse", Some "leaf-reuse");
+    ("fixer", Some "Proposition 4");
+    ("prop-diff", Some "prop-diff");
+    ("prop5", Some "Proposition 5");
+    ("full", None) ]
+
+let test_certify_route_labels () =
+  let net = Gen.fig2_net () in
+  let prop = fig2_prop ~lo:Float.neg_infinity ~hi:13.1 in
+  List.iter
+    (fun (route, label) ->
+      Alcotest.(check (option string))
+        ("proposition " ^ route) label
+        (Cv_core.Certify.proposition route);
+      let cert = certify_valid ~route route net prop Cv_core.Report.Safe in
+      Alcotest.(check string) (route ^ " solver label") route
+        cert.Cv_cert.Cert.solver;
+      match (cert.Cv_cert.Cert.proof, label) with
+      | Cv_cert.Cert.P_reuse f, Some label ->
+        Alcotest.(check string) (route ^ " frame route") route f.route;
+        Alcotest.(check string) (route ^ " frame label") label f.proposition
+      | Cv_cert.Cert.P_chain _, None -> ()
+      | _ ->
+        Alcotest.failf "%s: unexpected %s proof" route (proof_kind cert))
+    route_labels;
+  Alcotest.(check (option string)) "prop4" (Some "Proposition 4")
+    (Cv_core.Certify.proposition "prop4")
+
+let test_certify_safe_bare () =
+  let net = Gen.fig2_net () in
+  (* Interval arithmetic alone proves y <= 13.1; y <= 9 needs
+     bisection. *)
+  let chain =
+    certify_valid "chain" net
+      (fig2_prop ~lo:Float.neg_infinity ~hi:13.1)
+      Cv_core.Report.Safe
+  in
+  Alcotest.(check string) "chain" "chain" (proof_kind chain);
+  let split =
+    certify_valid "split" net
+      (fig2_prop ~lo:Float.neg_infinity ~hi:9.)
+      Cv_core.Report.Safe
+  in
+  Alcotest.(check string) "split" "split" (proof_kind split)
+
+let test_certify_reuse_slack () =
+  let net = Gen.fig2_net () and prop = fig2_prop ~lo:(-1.) ~hi:13.1 in
+  let cert =
+    certify_valid ~route:"prop3" "prop3" net prop Cv_core.Report.Safe
+  in
+  match cert.Cv_cert.Cert.proof with
+  | Cv_cert.Cert.P_reuse
+      { route; proposition; slack; inner = Cv_cert.Cert.P_chain boxes } ->
+    Alcotest.(check string) "route" "prop3" route;
+    Alcotest.(check string) "label" "Proposition 3" proposition;
+    Alcotest.(check (float 0.)) "slack is the chain slack"
+      (Cv_cert.Check.chain_slack ~dout:prop.Cv_verify.Property.dout boxes)
+      slack
+  | _ -> Alcotest.failf "expected a reuse frame around a chain"
+
+let test_certify_milp_fallback () =
+  (* D_out just above the exact maximum of a small ReLU net: bisection
+     runs out of leaves, the MILP goals close the bound. *)
+  let net = Gen.net_of 4 [ 3; 6; 6; 1 ] in
+  let din = Cv_interval.Box.uniform 3 ~lo:(-1.) ~hi:1. in
+  let exact = (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range in
+  let dout =
+    Cv_interval.Box.of_bounds [| Float.neg_infinity |]
+      [| Cv_interval.Interval.hi (Cv_interval.Box.get exact 0) +. 0.01 |]
+  in
+  Alcotest.(check bool) "bisection gives up" true
+    (Cv_cert.Emit.safe_cert ~mode:"test" ~solver:"test" ~fingerprint:"test" net
+       ~din ~dout
+    = None);
+  let cert =
+    certify_valid "milp fallback" net
+      (Cv_verify.Property.make ~din ~dout)
+      Cv_core.Report.Safe
+  in
+  Alcotest.(check string) "milp goals" "milp-goals" (proof_kind cert)
+
+let test_certify_unsafe_and_undecided () =
+  let net = Gen.fig2_net () and prop = fig2_prop ~lo:(-1.) ~hi:1. in
+  (* f(-1, 1) = 6 > 1. *)
+  let v =
+    Option.get
+      (Cv_verify.Falsify.violation_of net prop.Cv_verify.Property.dout
+         [| -1.; 1. |])
+  in
+  let cert =
+    certify_valid ~route:"prop1" "unsafe" net prop (Cv_core.Report.Unsafe v)
+  in
+  Alcotest.(check string) "counterexample" "counterexample" (proof_kind cert);
+  Alcotest.(check string) "solver label" "falsify" cert.Cv_cert.Cert.solver;
+  List.iter
+    (fun (what, outcome) ->
+      Alcotest.(check bool) what true
+        (Cv_core.Certify.certify ~mode:"test" ~solver:"test" ~route:"prop1" net
+           prop outcome
+        = None))
+    [ ("inconclusive", Cv_core.Report.Inconclusive "no route");
+      ("exhausted", Cv_core.Report.Exhausted "budget") ]
+
+(* A real strategy run, certified by its decisive route. *)
+let test_certify_strategy_report () =
+  let net, din, _, artifact = scenario () in
+  let p =
+    Cv_core.Problem.svudc ~net ~artifact ~new_din:(small_enlargement din)
+  in
+  let r = Cv_core.Strategy.solve_svudc p in
+  let route = Option.get r.Cv_core.Report.decisive in
+  let cert =
+    certify_valid ~route "svudc" net
+      (Cv_core.Problem.svudc_property p)
+      r.Cv_core.Report.verdict
+  in
+  match (cert.Cv_cert.Cert.proof, Cv_core.Certify.proposition route) with
+  | Cv_cert.Cert.P_reuse f, Some label ->
+    Alcotest.(check string) "label" label f.proposition
+  | _, None -> ()
+  | _ -> Alcotest.failf "%s: expected a reuse frame" route
+
 let () =
   Alcotest.run "cv_core"
     [ ( "problem",
@@ -630,4 +784,13 @@ let () =
           Alcotest.test_case "report conclude" `Quick test_report_conclude;
           Alcotest.test_case "ratio" `Quick test_ratio;
           QCheck_alcotest.to_alcotest slabs_cover_prop;
-          QCheck_alcotest.to_alcotest strategy_soundness_prop ] ) ]
+          QCheck_alcotest.to_alcotest strategy_soundness_prop ] );
+      ( "certify",
+        [ Alcotest.test_case "route labels" `Quick test_certify_route_labels;
+          Alcotest.test_case "safe bare" `Quick test_certify_safe_bare;
+          Alcotest.test_case "reuse slack" `Quick test_certify_reuse_slack;
+          Alcotest.test_case "milp fallback" `Quick test_certify_milp_fallback;
+          Alcotest.test_case "unsafe and undecided" `Quick
+            test_certify_unsafe_and_undecided;
+          Alcotest.test_case "strategy report" `Quick
+            test_certify_strategy_report ] ) ]
