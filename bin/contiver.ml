@@ -46,6 +46,12 @@ let run f =
     prerr_endline ("contiver: error: injected fault: " ^ msg);
     Cmd.Exit.some_error
 
+(* [Problem.svudc]/[svbtv] raise [Invalid_argument] when the artifact,
+   the networks and the domain do not belong together. From the command
+   line that is bad input, not a bug, so only these calls turn it into a
+   one-line error; an [Invalid_argument] anywhere else stays a crash. *)
+let build_problem f = try f () with Invalid_argument msg -> cli_fail "%s" msg
+
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -462,7 +468,9 @@ let svudc verbose model artifact new_din emit_cert engine timeout stats
   let net = load_network model in
   let artifact = load_artifact artifact in
   let new_din = load_box new_din in
-  let p = Cv_core.Problem.svudc ~net ~artifact ~new_din in
+  let p =
+    build_problem (fun () -> Cv_core.Problem.svudc ~net ~artifact ~new_din)
+  in
   let prop = Cv_core.Problem.svudc_property p in
   let checkpoint, resume =
     setup_checkpointing ~kind:Cv_core.Runstate.Svudc
@@ -514,7 +522,10 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
     | Some path -> load_box path
     | None -> artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.din
   in
-  let p = Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
+  let p =
+    build_problem (fun () ->
+        Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din)
+  in
   let prop = Cv_core.Problem.svbtv_property p in
   (* The checkpoint is bound to the network under verification — the
      fine-tuned successor — and, via the scope, to the reference

@@ -123,7 +123,7 @@ let multipliers st cost_b =
   | mat -> solve_dense mat (Array.map cost_b basis)
   | exception Exit -> None
 
-let certify_state ?max_iters ~xu st =
+let certify_state ~xu st =
   let sys = snapshot_system ~xu st in
   (* Fresh cold solve on the snapshot: its final basis is the one the
      multipliers are read from, so the live state's warm-path history is
@@ -132,7 +132,7 @@ let certify_state ?max_iters ~xu st =
     Simplex.make ~a:sys.Cert.lp_a ~b:sys.lp_b ~c:sys.lp_c
       ~basis0:(Simplex.initial_basis st)
   in
-  match Simplex.resolve ?max_iters fresh with
+  match Simplex.resolve fresh with
   | Simplex.Infeasible ->
     let n = Simplex.num_cols fresh in
     Option.bind (multipliers fresh (fun j -> if j >= n then 1. else 0.))
@@ -150,15 +150,10 @@ let certify_state ?max_iters ~xu st =
           (dual_bound sys z))
   | Simplex.Unbounded | Simplex.Stalled -> None
 
-let validated cert =
-  match Cv_cert.Check.check cert with
-  | Cv_cert.Check.Valid -> Some cert
-  | Invalid _ -> None
-
-let lp_certificate ?max_iters ~mode ~solver ~fingerprint compiled =
+let lp_certificate ~mode ~solver ~fingerprint compiled =
   let st = Lp.compiled_state compiled in
   let xu = Lp.compiled_uppers compiled in
-  Option.bind (certify_state ?max_iters ~xu st) (fun ex ->
+  Option.bind (certify_state ~xu st) (fun ex ->
       let sys = snapshot_system ~xu st in
       let claim, proof =
         match ex.ex_witness with
@@ -167,109 +162,7 @@ let lp_certificate ?max_iters ~mode ~solver ~fingerprint compiled =
           ( Cert.Lp_min_at_least (sys, ex.ex_value),
             Cert.P_dual { dual = z; bound = ex.ex_value } )
       in
-      validated { Cert.mode; solver; fingerprint; claim; proof })
-
-type branch_result = {
-  br_system : Cert.lp_system;
-  br_binaries : Cert.milp_binary array;
-  br_tree : Cert.milp_tree;
-  br_bound : float;
-}
-
-exception Give_up
-
-let branch_and_certify ?(max_nodes = 512) ?max_iters compiled ~binaries =
-  let binaries = Array.of_list binaries in
-  let relax_all () =
-    Array.iter
-      (fun v -> Lp.set_bounds_compiled compiled v ~lo:0. ~hi:1.)
-      binaries
-  in
-  match
-    let bins =
-      Array.map
-        (fun v ->
-          match Lp.compiled_fix_rows compiled v with
-          | Some (ub, lb, shift) ->
-            { Cert.bin_ub_row = ub; bin_lb_row = lb; bin_shift = shift }
-          | None -> raise Give_up)
-        binaries
-    in
-    relax_all ();
-    (* The certificate's base system: every binary relaxed to [0, 1];
-       the checker re-derives each leaf's rhs from the path fixings.
-       The compile-time column bounds stay valid at every leaf — rhs
-       tightening only shrinks the feasible set. *)
-    let xu = Lp.compiled_uppers compiled in
-    let base = snapshot_system ~xu (Lp.compiled_state compiled) in
-    let nodes = ref 0 in
-    let bound = ref Float.infinity in
-    let is_frac x = Float.abs (x -. Float.round x) > 1e-6 in
-    let rec go fixings remaining =
-      incr nodes;
-      if !nodes > max_nodes then raise Give_up;
-      List.iter
-        (fun (k, v) ->
-          Lp.set_bounds_compiled compiled binaries.(k) ~lo:v ~hi:v)
-        fixings;
-      let relax = Lp.solve_compiled ?max_iters compiled in
-      let leaf () =
-        match certify_state ?max_iters ~xu (Lp.compiled_state compiled) with
-        | Some ex ->
-          bound := Float.min !bound ex.ex_value;
-          Cert.Milp_leaf ex.ex_witness
-        | None -> raise Give_up
-      in
-      let branch k rest =
-        let node v =
-          let t = go ((k, v) :: fixings) rest in
-          Lp.set_bounds_compiled compiled binaries.(k) ~lo:0. ~hi:1.;
-          t
-        in
-        let zero = node 0. in
-        let one = node 1. in
-        Cert.Milp_branch { bin = k; zero; one }
-      in
-      match relax with
-      | Lp.Infeasible -> leaf ()
-      | Lp.Optimal { values; _ } -> (
-        (* Fathom integral relaxations with a dual witness; branch on
-           the first fractional binary otherwise. *)
-        match
-          List.find_opt (fun k -> is_frac values.(binaries.(k))) remaining
-        with
-        | None -> leaf ()
-        | Some k -> branch k (List.filter (fun k' -> k' <> k) remaining))
-      | Lp.Unbounded | Lp.Stalled -> raise Give_up
-    in
-    let all = List.init (Array.length binaries) Fun.id in
-    let tree = go [] all in
-    relax_all ();
-    if Float.is_finite !bound || !bound = Float.infinity then
-      { br_system = base; br_binaries = bins; br_tree = tree;
-        br_bound = (if !bound = Float.infinity then 0. else !bound) }
-    else raise Give_up
-  with
-  | r -> Some r
-  | exception Give_up ->
-    relax_all ();
-    None
-
-let milp_certificate ?max_nodes ?max_iters ~mode ~solver ~fingerprint
-    compiled ~binaries =
-  Option.bind (branch_and_certify ?max_nodes ?max_iters compiled ~binaries)
-    (fun br ->
-      validated
-        {
-          Cert.mode;
-          solver;
-          fingerprint;
-          claim =
-            Cert.Milp_min_at_least
-              {
-                lp = br.br_system;
-                binaries = br.br_binaries;
-                target = br.br_bound;
-              };
-          proof = Cert.P_milp_tree br.br_tree;
-        })
+      let cert = { Cert.mode; solver; fingerprint; claim; proof } in
+      match Cv_cert.Check.check cert with
+      | Cv_cert.Check.Valid -> Some cert
+      | Invalid _ -> None)

@@ -7,7 +7,9 @@
     solving [Bᵀz = c_B] with its own Gaussian elimination. The witness
     is then validated with outward-rounded arithmetic (the checker's
     obligations) before being handed out — extraction failures degrade
-    emission, never soundness. *)
+    emission, never soundness. It runs no search: a MILP proof is
+    {!Cv_milp.Milp}'s own search, replayed by {!Cv_milp.Cert_bridge}
+    with one {!certify_state} witness per leaf. *)
 
 (** One validated witness. [ex_value] is the outward-certified
     standard-form objective lower bound for a {!Cv_cert.Cert.Dual_bound}
@@ -26,56 +28,15 @@ val snapshot_system : xu:float array -> Simplex.state -> Cv_cert.Cert.lp_system
     extracts a Farkas witness (infeasible) or a dual bound (optimal).
     [None] on stall, unboundedness, a singular basis or a witness that
     fails its outward validation. *)
-val certify_state :
-  ?max_iters:int -> xu:float array -> Simplex.state -> extraction option
+val certify_state : xu:float array -> Simplex.state -> extraction option
 
 (** [lp_certificate ~mode ~solver ~fingerprint c] wraps
     {!certify_state} on the compiled model as a full self-validated
     certificate: {!Cv_cert.Cert.Lp_infeasible} + {!Cv_cert.Cert.P_farkas}, or
     {!Cv_cert.Cert.Lp_min_at_least} + {!Cv_cert.Cert.P_dual} at the certified bound. *)
 val lp_certificate :
-  ?max_iters:int ->
   mode:string ->
   solver:string ->
   fingerprint:string ->
   Lp.compiled ->
-  Cv_cert.Cert.t option
-
-(** Result of {!branch_and_certify}: a branch tree over the compiled
-    model's binaries whose leaves all carry validated witnesses, proving
-    [std_objective ≥ br_bound] for {e every} 0/1 completion.
-    [br_system] is snapshotted with all binaries relaxed to [0, 1] — the
-    rhs base the checker rewrites per leaf. *)
-type branch_result = {
-  br_system : Cv_cert.Cert.lp_system;
-  br_binaries : Cv_cert.Cert.milp_binary array;
-  br_tree : Cv_cert.Cert.milp_tree;
-  br_bound : float;
-}
-
-(** [branch_and_certify c ~binaries] runs a small branch-and-bound over
-    [binaries] (fixing through {!Lp.set_bounds_compiled}, the PR 4
-    re-bounding seam), extracting a witness at every fathomed leaf.
-    Branches on fractional binaries only, so in exact arithmetic
-    [br_bound] is the MILP optimum. [max_nodes] bounds the tree
-    (default 512). The compiled model is left with all binaries
-    relaxed. *)
-val branch_and_certify :
-  ?max_nodes:int ->
-  ?max_iters:int ->
-  Lp.compiled ->
-  binaries:Lp.var list ->
-  branch_result option
-
-(** [milp_certificate ~mode ~solver ~fingerprint c ~binaries] is
-    {!branch_and_certify} wrapped as a self-validated
-    {!Cv_cert.Cert.Milp_min_at_least} certificate at [br_bound]. *)
-val milp_certificate :
-  ?max_nodes:int ->
-  ?max_iters:int ->
-  mode:string ->
-  solver:string ->
-  fingerprint:string ->
-  Lp.compiled ->
-  binaries:Lp.var list ->
   Cv_cert.Cert.t option

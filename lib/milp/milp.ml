@@ -33,9 +33,9 @@ type result =
   | Unbounded
   | Cutoff_reached of solution
       (** an integer point beat the requested cutoff; search stopped *)
-  | Below_cutoff of float
-      (** every node was fathomed at or below the cutoff; the payload is
-          a proven upper bound on the true optimum (≤ cutoff) *)
+  | Below_cutoff of { bound : float; leaves : (int * float) list list option }
+      (** [bound] ≤ cutoff bounds the optimum; [leaves] are the closed
+          leaves' fixings ([None] after a resume or a crashed dive) *)
   | Timeout of { bound : float; incumbent : solution option }
       (** the deadline, node budget or simplex iteration budget expired
           before the gap closed; [bound] is a certified bound on the
@@ -306,6 +306,11 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
        is rebuilt from this copy rather than trusted. *)
     let pristine = Cv_lp.Lp.copy_compiled c0 in
     let crashes = ref 0 in
+    (* The leaves of every finished dive, one list per dive. A snapshot
+       carries no leaves and a crashed dive loses its own, so after
+       either the log cannot prove anything. *)
+    let leaf_log = ref [] in
+    let leaf_log_complete = ref (resume = None) in
     (* Best-first frontier keyed by the parent relaxation bound. *)
     let frontier = Cv_util.Heap.create () in
     let nodes = ref 0 in
@@ -361,7 +366,8 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
        warm restart (many bound moves ⇒ ~7× the pivots — measured).
        Each LP runs with [bound_cutoff]: weak duality stops it as soon
        as the node is provably fathomable. All shared-state effects are
-       returned as ordered events, applied later by the driver. *)
+       returned as ordered events, applied later by the driver, and the
+       fixings of every node the dive closes are returned as its leaves. *)
     let dive slot budget pb0 node0 =
       Cv_util.Fault.trip Cv_util.Fault.Worker_crash;
       let w = workers.(slot) in
@@ -372,6 +378,7 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
       let local_inc = ref Float.neg_infinity in
       let pb () = Float.max pb0 !local_inc in
       let count = ref 0 in
+      let leaves = ref [] in
       let stack = ref [ node0 ] in
       (* On an early stop, unprocessed subtree roots go back to the
          frontier so their bounds keep the certified estimate sound. *)
@@ -384,6 +391,7 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
         stack := List.tl !stack;
         if bound <= pb () +. 1e-9 then begin
           incr count;
+          leaves := fixed :: !leaves;
           emit (Efathom bound)
         end
         else if !count >= budget then
@@ -411,18 +419,21 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
           | `Sol Cv_lp.Lp.Unbounded ->
             emit Eunbounded;
             flush ()
-          | `Sol Cv_lp.Lp.Infeasible -> ()
+          | `Sol Cv_lp.Lp.Infeasible -> leaves := fixed :: !leaves
           | `Sol (Cv_lp.Lp.Optimal sol) ->
             let b = sol.Cv_lp.Lp.objective in
-            if b <= pb () +. 1e-9 then
+            if b <= pb () +. 1e-9 then begin
               (* Also the landing spot of a [bound_cutoff] early stop:
                  [b] is then just a certified bound (the basis may be
                  primal-infeasible), which is all fathoming reads. *)
+              leaves := fixed :: !leaves;
               emit (Efathom b)
+            end
             else (
               match pick_branch_var p branch sol.Cv_lp.Lp.values with
               | None ->
                 if b > !local_inc then local_inc := b;
+                leaves := fixed :: !leaves;
                 emit (Eincumbent { objective = b; values = sol.Cv_lp.Lp.values })
               | Some v ->
                 (* Plunge towards the relaxation's rounding; the sibling
@@ -434,7 +445,7 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
                   :: !stack)
         end
       done;
-      (!count, List.rev !events)
+      (!count, List.rev !events, !leaves)
     in
     while
       !result = None
@@ -495,12 +506,14 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
                   m "milp: worker dive crashed (%s); node re-queued"
                     (Printexc.to_string exn));
               incr crashes;
+              leaf_log_complete := false;
               let b, f = List.nth batch slot in
               Cv_util.Heap.push frontier b f;
               workers.(slot) <-
                 { wc = Cv_lp.Lp.copy_compiled pristine; wfixed = [] }
-            | Ok (count, events) ->
+            | Ok (count, events, leaves) ->
               nodes := !nodes + count;
+              leaf_log := leaves :: !leaf_log;
               Cv_util.Metrics.add m_nodes count;
               List.iter
                 (fun ev ->
@@ -554,7 +567,13 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
           (* Search exhausted without beating the cutoff: the optimum is
              provably at most max(pruned bounds, incumbent). *)
           let ub = Float.max !pruned_max !incumbent_val in
-          if ub = Float.neg_infinity then Infeasible else Below_cutoff ub))
+          if ub = Float.neg_infinity then Infeasible
+          else
+            Below_cutoff
+              { bound = ub;
+                leaves =
+                  (if !leaf_log_complete then Some (List.concat !leaf_log)
+                   else None) }))
 
 (** [minimize ?cutoff ?known_feasible ?node_limit ?domains p terms]
     minimises by negating the objective. Snapshots stay in the internal
@@ -571,7 +590,7 @@ let minimize ?deadline ?cutoff ?known_feasible ?node_limit ?domains ?max_iters
   with
   | Optimal s -> Optimal { s with objective = -.s.objective }
   | Cutoff_reached s -> Cutoff_reached { s with objective = -.s.objective }
-  | Below_cutoff ub -> Below_cutoff (-.ub)
+  | Below_cutoff { bound; leaves } -> Below_cutoff { bound = -.bound; leaves }
   | Infeasible -> Infeasible
   | Unbounded -> Unbounded
   | Timeout { bound; incumbent } ->

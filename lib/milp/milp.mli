@@ -9,7 +9,14 @@
     dual-simplex warm restarts from the previous optimal basis. The
     optional [cutoff] turns an optimisation into a decision: proving
     "max ≤ θ" fathoms every node whose bound is ≤ θ and stops as soon
-    as an integer point exceeds θ. *)
+    as an integer point exceeds θ.
+
+    This is the only branch-and-bound in the system, and a search that
+    proves "max ≤ θ" is its own proof: [Below_cutoff] returns the binary
+    fixings of every leaf the search closed, which {!Cert_bridge}
+    replays into a checkable branch tree. Recording costs one cons cell
+    per leaf (paths share their tails) and leaves the search itself —
+    pivots, nodes, counters — unchanged. *)
 
 type solution = { objective : float; values : float array }
 
@@ -19,9 +26,14 @@ type result =
   | Unbounded
   | Cutoff_reached of solution
       (** an integer point beat the requested cutoff; search stopped *)
-  | Below_cutoff of float
-      (** every node was fathomed at or below the cutoff; the payload is
-          a proven upper bound on the true optimum (≤ cutoff) *)
+  | Below_cutoff of { bound : float; leaves : (int * float) list list option }
+      (** every node was fathomed at or below the cutoff; [bound] is a
+          proven upper bound on the true optimum (≤ cutoff). [leaves]
+          lists, per closed leaf, its binary fixings [(var, 0. | 1.)]
+          newest first: infeasible leaves, leaves fathomed by bound
+          (before or after their LP) and integral leaves, which together
+          cover every 0/1 completion. It is [None] after a [resume]
+          (snapshots hold no leaves) or a crashed dive. *)
   | Timeout of { bound : float; incumbent : solution option }
       (** the deadline, node budget or simplex iteration budget expired
           before the gap closed; [bound] is a certified bound on the

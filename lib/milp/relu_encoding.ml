@@ -300,7 +300,8 @@ let lift_result e ~seed_input ~in_dim = function
     Milp.Optimal { s with Milp.objective = s.Milp.objective +. e.const }
   | Milp.Cutoff_reached s ->
     Milp.Cutoff_reached { s with Milp.objective = s.Milp.objective +. e.const }
-  | Milp.Below_cutoff ub -> Milp.Below_cutoff (ub +. e.const)
+  | Milp.Below_cutoff { bound; leaves } ->
+    Milp.Below_cutoff { bound = bound +. e.const; leaves }
   | Milp.Infeasible -> Milp.Infeasible
   | Milp.Unbounded -> Milp.Unbounded
   | Milp.Timeout { bound; incumbent } ->

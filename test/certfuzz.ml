@@ -13,6 +13,12 @@
    - the targeted per-kind corruptions (the guaranteed-invalid ones)
      must always be rejected.
 
+   After the main rounds, a MILP-goals phase (its own generator and its
+   own summary line) certifies small ReLU nets with D_out just above
+   their exact range through the replayed branch-and-bound
+   ({!Cv_milp.Cert_bridge.safe_cert}) and attacks those certificates the
+   same way.
+
    Usage: certfuzz.exe [-seed N] [-rounds N] [-out DIR]
    Failing certificates are dumped into DIR (default
    _build/certfuzz-failures) for CI artifact upload. *)
@@ -326,6 +332,35 @@ let round_lp rng =
       fail ~why:"farkas certificate for a solver-feasible system" cert
     | _ -> ())
 
+(* D_out just above the exact range: bisection rarely closes it, the
+   MILP goals must, and every goal's tree is the search's own. *)
+let round_milp_goals rng =
+  let mode, solver, fingerprint = meta in
+  let net = random_net rng in
+  let d = Cv_nn.Network.in_dim net in
+  let lo = Rng.float rng ~lo:(-2.) ~hi:0. in
+  let din = Box.uniform d ~lo ~hi:(lo +. Rng.float rng ~lo:0.1 ~hi:2.) in
+  let margin = Rng.float rng ~lo:1e-4 ~hi:1e-2 in
+  let dout =
+    Box.expand margin (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range
+  in
+  match Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout with
+  | None -> dump_failure ~why:"milp-goals emission failed on a proved range" Json.Null
+  | Some cert -> (
+    assert_valid_and_true rng ~what:"milp-goals" cert;
+    attack rng cert;
+    match cert.Cert.proof with
+    | Cert.P_milp_goals (g :: rest) ->
+      (* One corrupted goal must sink the whole certificate: an inflated
+         target breaks a leaf's dual bound, a shifted constant escapes
+         D_out (upper goal) or the spot check (lower goal). *)
+      let corrupt what g' =
+        expect_invalid ~what { cert with Cert.proof = Cert.P_milp_goals (g' :: rest) }
+      in
+      corrupt "milp goal target" { g with Cert.mg_target = g.Cert.mg_target +. 1e9 };
+      corrupt "milp goal const" { g with Cert.mg_const = g.Cert.mg_const +. 1e9 }
+    | _ -> fail ~why:"milp-goals emission without goals" cert)
+
 let () =
   let rng = Rng.create !seed in
   for _ = 1 to !rounds do
@@ -334,4 +369,17 @@ let () =
   Printf.printf
     "certfuzz: seed %d, %d rounds, %d certificates checked, %d/%d mutations stayed valid, %d failures\n%!"
     !seed !rounds !checked !mutations_valid !mutations_tried !failures;
+  let failures0 = !failures in
+  checked := 0;
+  mutations_valid := 0;
+  mutations_tried := 0;
+  let rng = Rng.create (!seed + 1_000_003) in
+  let milp_rounds = max 1 (!rounds / 4) in
+  for _ = 1 to milp_rounds do
+    round_milp_goals rng
+  done;
+  Printf.printf
+    "certfuzz: seed %d, %d milp-goals rounds, %d certificates checked, %d/%d mutations stayed valid, %d failures\n%!"
+    !seed milp_rounds !checked !mutations_valid !mutations_tried
+    (!failures - failures0);
   if !failures > 0 then exit 1

@@ -12,6 +12,8 @@ module Emit = Cv_cert.Emit
 module Ival = Cv_cert.Ival
 module Lp = Cv_lp.Lp
 module Lp_cert = Cv_lp.Lp_cert
+module Milp = Cv_milp.Milp
+module Cert_bridge = Cv_milp.Cert_bridge
 module Json = Cv_util.Json
 
 let meta ~mode = (mode, "test", "v2:test")
@@ -187,22 +189,33 @@ let test_lp_dual_cert () =
 
 (* min x + 2 b s.t. x ≥ 1.5 − 3 b, x ∈ [0, 10], b binary.
    b = 0 → min 1.5; b = 1 → min 2. MILP optimum 1.5, relaxation ≈ 1
-   (fractional b), so the tree must branch. *)
-let milp_compiled () =
-  let p = Lp.create () in
-  let x = Lp.add_var p ~lo:0. ~hi:10. () in
-  let b = Lp.add_var p ~lo:0. ~hi:1. () in
-  Lp.add_constraint p [ (1., x); (3., b) ] Lp.Ge 1.5;
-  Lp.set_objective p ~maximize:false [ (1., x); (2., b) ];
-  (Lp.compile ~fixable:[ b ] p, [ b ])
+   (fractional b), so the search must branch. The search proves
+   "min ≥ 1.5" and its leaves are replayed into the certificate. *)
+let milp_tree_cert () =
+  let p = Milp.create () in
+  let x = Milp.add_var p ~lo:0. ~hi:10. () in
+  let b = Milp.add_binary p () in
+  Milp.add_constraint p [ (1., x); (3., b) ] Lp.Ge 1.5;
+  let terms = [ (1., x); (2., b) ] in
+  match Milp.minimize ~cutoff:1.5 p terms with
+  | Milp.Below_cutoff { leaves = Some leaves; _ } ->
+    let mode, solver, fingerprint = meta ~mode:"milp" in
+    Option.map
+      (fun (r : Cert_bridge.replayed) ->
+        {
+          Cert.mode;
+          solver;
+          fingerprint;
+          claim =
+            Cert.Milp_min_at_least
+              { lp = r.system; binaries = r.binaries; target = r.target };
+          proof = Cert.P_milp_tree r.tree;
+        })
+      (Cert_bridge.replay p ~maximize:false terms ~leaves)
+  | _ -> Alcotest.fail "expected a complete search below the cutoff"
 
 let test_milp_tree_cert () =
-  let compiled, binaries = milp_compiled () in
-  let mode, solver, fingerprint = meta ~mode:"milp" in
-  let cert =
-    check_valid "milp-tree"
-      (Lp_cert.milp_certificate ~mode ~solver ~fingerprint compiled ~binaries)
-  in
+  let cert = check_valid "milp-tree" (milp_tree_cert ()) in
   Alcotest.(check string) "kind" "milp-tree" (Cert.proof_kind cert.Cert.proof);
   (match cert.Cert.claim with
   | Cert.Milp_min_at_least { target; _ } ->
@@ -309,12 +322,7 @@ let test_reject_dual () =
   | _ -> Alcotest.fail "expected dual"
 
 let test_reject_milp_tree () =
-  let compiled, binaries = milp_compiled () in
-  let mode, solver, fingerprint = meta ~mode:"milp" in
-  let cert =
-    check_valid "milp-tree"
-      (Lp_cert.milp_certificate ~mode ~solver ~fingerprint compiled ~binaries)
-  in
+  let cert = check_valid "milp-tree" (milp_tree_cert ()) in
   match cert.Cert.claim with
   | Cert.Milp_min_at_least { lp; binaries; target } ->
     (* The feasible MILP has dual leaves, so an inflated target must

@@ -16,19 +16,24 @@ let run args =
   let cmd = Filename.quote_command exe args ^ " > /dev/null 2>&1" in
   Sys.command cmd
 
-(* Run and capture stdout, for asserting on the verdict line. *)
-let run_out args =
-  let out = Filename.temp_file "contiver_cli" ".out" in
+(* Run and capture one output stream: stdout for asserting on the
+   verdict line, stderr for error messages. The other goes to
+   /dev/null. *)
+let run_capture ~stderr args =
+  let file = Filename.temp_file "contiver_cli" ".out" in
+  let sink = Filename.quote file in
   let cmd =
     Filename.quote_command exe args
-    ^ " > " ^ Filename.quote out ^ " 2> /dev/null"
+    ^ if stderr then " > /dev/null 2> " ^ sink else " > " ^ sink ^ " 2> /dev/null"
   in
   let code = Sys.command cmd in
-  let ic = open_in out in
+  let ic = open_in file in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Sys.remove out;
+  Sys.remove file;
   (code, text)
+
+let run_out = run_capture ~stderr:false
 
 let verdict_line text =
   String.split_on_char '\n' text
@@ -84,6 +89,42 @@ let test_verify_and_reuse () =
       path "head1_roundtrip.json" ];
   Alcotest.(check bool) "model written" true
     (Sys.file_exists (path "head1_roundtrip.json"))
+
+(* Inputs that do not belong together break a precondition of the
+   SVuDC/SVbTV problem: a one-line error with exit 123, not an uncaught
+   exception (exit 125). Depends on verify+reuse's head1 proof. *)
+let expect_input_error name args message =
+  let code, err = run_capture ~stderr:true args in
+  Alcotest.(check int) (name ^ ": exit") 123 code;
+  Alcotest.(check string) (name ^ ": one line")
+    ("contiver: error: " ^ message ^ "\n")
+    err
+
+let test_svudc_foreign_artifact () =
+  let path f = Filename.concat tmp_dir f in
+  expect_input_error "svudc head2 with head1 proof"
+    [ "svudc"; "--model"; path "head2.json"; "--artifact"; path "proof.json";
+      "--new-din"; path "enlarged_din.json" ]
+    "Problem.svudc: artifact was not produced for this network"
+
+let test_svbtv_foreign_artifact () =
+  let path f = Filename.concat tmp_dir f in
+  expect_input_error "svbtv --old head2 with head1 proof"
+    [ "svbtv"; "--old"; path "head2.json"; "--new"; path "head3.json";
+      "--artifact"; path "proof.json"; "--new-din"; path "enlarged_din.json" ]
+    "Problem.svbtv: artifact was not produced for old_net"
+
+let test_svudc_shrunken_din () =
+  let path f = Filename.concat tmp_dir f in
+  (* Every proved D_in bound is below 0, so [0, 0.1]^12 misses it. *)
+  let oc = open_out (path "shrunken_din.json") in
+  output_string oc
+    ("[" ^ String.concat "," (List.init 12 (fun _ -> "[0,0.1]")) ^ "]");
+  close_out oc;
+  expect_input_error "svudc with a shrunken D_in"
+    [ "svudc"; "--model"; path "head1.json"; "--artifact"; path "proof.json";
+      "--new-din"; path "shrunken_din.json" ]
+    "Problem.svudc: new domain must contain the original D_in"
 
 let test_verify_rejects_missing_file () =
   Alcotest.(check bool) "missing model rejected" true
@@ -356,6 +397,12 @@ let () =
           Alcotest.test_case "generate+describe" `Quick
             test_generate_and_describe;
           Alcotest.test_case "verify+reuse" `Quick test_verify_and_reuse;
+          Alcotest.test_case "svudc foreign artifact" `Quick
+            test_svudc_foreign_artifact;
+          Alcotest.test_case "svbtv foreign artifact" `Quick
+            test_svbtv_foreign_artifact;
+          Alcotest.test_case "svudc shrunken D_in" `Quick
+            test_svudc_shrunken_din;
           Alcotest.test_case "missing file" `Quick
             test_verify_rejects_missing_file;
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;

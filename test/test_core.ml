@@ -685,6 +685,34 @@ let test_certify_milp_fallback () =
   in
   Alcotest.(check string) "milp goals" "milp-goals" (proof_kind cert)
 
+(* Nets whose exact maximum the solver's BaBSR search closes but that a
+   separate certifying search with its own branching and node cap never
+   did: the certificate is that search's own tree, replayed. *)
+let test_certify_milp_replays_search () =
+  List.iter
+    (fun (seed, dims) ->
+      let what = Printf.sprintf "net_of %d" seed in
+      let net = Gen.net_of seed dims in
+      let din = Cv_interval.Box.uniform (List.hd dims) ~lo:(-1.) ~hi:1. in
+      let exact =
+        (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range
+      in
+      let dout =
+        Cv_interval.Box.of_bounds [| Float.neg_infinity |]
+          [| Cv_interval.Interval.hi (Cv_interval.Box.get exact 0) +. 0.1 |]
+      in
+      Alcotest.(check bool) (what ^ ": bisection gives up") true
+        (Cv_cert.Emit.safe_cert ~mode:"test" ~solver:"test" ~fingerprint:"test"
+           net ~din ~dout
+        = None);
+      let cert =
+        certify_valid what net (Cv_verify.Property.make ~din ~dout)
+          Cv_core.Report.Safe
+      in
+      Alcotest.(check string) (what ^ ": milp goals") "milp-goals"
+        (proof_kind cert))
+    [ (1, [ 4; 8; 8; 1 ]); (2, [ 6; 10; 10; 1 ]) ]
+
 let test_certify_unsafe_and_undecided () =
   let net = Gen.fig2_net () and prop = fig2_prop ~lo:(-1.) ~hi:1. in
   (* f(-1, 1) = 6 > 1. *)
@@ -790,6 +818,8 @@ let () =
           Alcotest.test_case "safe bare" `Quick test_certify_safe_bare;
           Alcotest.test_case "reuse slack" `Quick test_certify_reuse_slack;
           Alcotest.test_case "milp fallback" `Quick test_certify_milp_fallback;
+          Alcotest.test_case "milp replays the search" `Quick
+            test_certify_milp_replays_search;
           Alcotest.test_case "unsafe and undecided" `Quick
             test_certify_unsafe_and_undecided;
           Alcotest.test_case "strategy report" `Quick

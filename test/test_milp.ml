@@ -50,7 +50,7 @@ let test_cutoff_below () =
   match
     Cv_milp.Milp.maximize ~cutoff:30. p [ (10., a); (13., b); (7., c) ]
   with
-  | Cv_milp.Milp.Below_cutoff ub ->
+  | Cv_milp.Milp.Below_cutoff { bound = ub; _ } ->
     Alcotest.(check bool) "bound within [17, 30]" true
       (ub >= 17. -. 1e-5 && ub <= 30. +. 1e-6)
   | Cv_milp.Milp.Optimal s when s.Cv_milp.Milp.objective <= 30. -> ()
@@ -229,7 +229,7 @@ let test_cutoff_decision_queries () =
   let box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.1 in
   let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
   (match Cv_milp.Relu_encoding.max_output enc ~output:0 ~cutoff:12. with
-  | Cv_milp.Milp.Below_cutoff ub ->
+  | Cv_milp.Milp.Below_cutoff { bound = ub; _ } ->
     Alcotest.(check bool) "ub <= 12" true (ub <= 12. +. 1e-6)
   | Cv_milp.Milp.Optimal s ->
     Alcotest.(check bool) "optimal <= 12" true (s.Cv_milp.Milp.objective <= 12.)
@@ -386,6 +386,60 @@ let branching_exact_prop =
                (objective (Cv_milp.Milp.minimize p terms) +. c))
         (List.init outs Fun.id))
 
+(* A search that proves "max ≤ θ" (or "min ≥ θ") is its own proof: the
+   leaves of the [Below_cutoff] search rebuild into a branch tree whose
+   certificate the trusted checker accepts, at a target that maps back
+   to a bound no looser than θ. *)
+let leaf_replay_prop =
+  QCheck.Test.make ~name:"below-cutoff leaves replay into a valid tree"
+    ~count:25
+    QCheck.(
+      quad (int_range 1 10_000) (int_range 2 3)
+        (list_of_size (Gen.int_range 2 3) (int_range 3 6))
+        (float_range 1e-3 0.1))
+    (fun (seed, in_dim, hidden, margin) ->
+      let net = Gen.net_of seed ((in_dim :: hidden) @ [ 1 ]) in
+      let box = Cv_interval.Box.uniform in_dim ~lo:(-1.) ~hi:1. in
+      let enc = Cv_milp.Relu_encoding.encode ~net ~input_box:box in
+      let e = enc.Cv_milp.Relu_encoding.outputs.(0) in
+      let c = e.Cv_milp.Relu_encoding.const in
+      List.for_all
+        (fun (maximize, search) ->
+          let theta =
+            if maximize then objective (search None) +. margin
+            else objective (search None) -. margin
+          in
+          match search (Some theta) with
+          | Cv_milp.Milp.Below_cutoff { leaves = Some leaves; _ } -> (
+            match
+              Cv_milp.Cert_bridge.replay enc.Cv_milp.Relu_encoding.problem
+                ~maximize e.Cv_milp.Relu_encoding.terms ~leaves
+            with
+            | None -> false
+            | Some r ->
+              let cert =
+                { Cv_cert.Cert.mode = "test";
+                  solver = "test";
+                  fingerprint = "test";
+                  claim =
+                    Cv_cert.Cert.Milp_min_at_least
+                      { lp = r.system;
+                        binaries = r.binaries;
+                        target = r.target };
+                  proof = Cv_cert.Cert.P_milp_tree r.tree }
+              in
+              let bound = (r.sign *. (r.target +. r.shift)) +. c in
+              Cv_cert.Check.check cert = Cv_cert.Check.Valid
+              && (if maximize then bound <= theta +. 1e-9
+                  else bound >= theta -. 1e-9))
+          | _ -> false)
+        [ ( true,
+            fun cutoff ->
+              Cv_milp.Relu_encoding.max_output ?cutoff enc ~output:0 );
+          ( false,
+            fun cutoff ->
+              Cv_milp.Relu_encoding.min_output ?cutoff enc ~output:0 ) ])
+
 (* A chooser pick that is not a fractional binary is ignored in favour
    of most-fractional, so each of these searches is the chooser-free
    one, node for node. *)
@@ -482,4 +536,5 @@ let () =
             test_bad_chooser_ignored;
           Alcotest.test_case "fewer nodes than most-fractional" `Quick
             test_branching_saves_nodes;
-          QCheck_alcotest.to_alcotest branching_exact_prop ] ) ]
+          QCheck_alcotest.to_alcotest branching_exact_prop;
+          QCheck_alcotest.to_alcotest leaf_replay_prop ] ) ]
