@@ -666,31 +666,12 @@ let test_certify_reuse_slack () =
 
 let test_certify_milp_fallback () =
   (* D_out just above the exact maximum of a small ReLU net: bisection
-     runs out of leaves, the MILP goals close the bound. *)
-  let net = Gen.net_of 4 [ 3; 6; 6; 1 ] in
-  let din = Cv_interval.Box.uniform 3 ~lo:(-1.) ~hi:1. in
-  let exact = (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range in
-  let dout =
-    Cv_interval.Box.of_bounds [| Float.neg_infinity |]
-      [| Cv_interval.Interval.hi (Cv_interval.Box.get exact 0) +. 0.01 |]
-  in
-  Alcotest.(check bool) "bisection gives up" true
-    (Cv_cert.Emit.safe_cert ~mode:"test" ~solver:"test" ~fingerprint:"test" net
-       ~din ~dout
-    = None);
-  let cert =
-    certify_valid "milp fallback" net
-      (Cv_verify.Property.make ~din ~dout)
-      Cv_core.Report.Safe
-  in
-  Alcotest.(check string) "milp goals" "milp-goals" (proof_kind cert)
-
-(* Nets whose exact maximum the solver's BaBSR search closes but that a
-   separate certifying search with its own branching and node cap never
-   did: the certificate is that search's own tree, replayed. *)
-let test_certify_milp_replays_search () =
+     runs out of leaves, the MILP goals close the bound. The last two
+     nets need the solver's own BaBSR tree, replayed: a separate
+     certifying search with its own branching and node cap never closed
+     them. *)
   List.iter
-    (fun (seed, dims) ->
+    (fun (seed, dims, margin) ->
       let what = Printf.sprintf "net_of %d" seed in
       let net = Gen.net_of seed dims in
       let din = Cv_interval.Box.uniform (List.hd dims) ~lo:(-1.) ~hi:1. in
@@ -699,7 +680,7 @@ let test_certify_milp_replays_search () =
       in
       let dout =
         Cv_interval.Box.of_bounds [| Float.neg_infinity |]
-          [| Cv_interval.Interval.hi (Cv_interval.Box.get exact 0) +. 0.1 |]
+          [| Cv_interval.Interval.hi (Cv_interval.Box.get exact 0) +. margin |]
       in
       Alcotest.(check bool) (what ^ ": bisection gives up") true
         (Cv_cert.Emit.safe_cert ~mode:"test" ~solver:"test" ~fingerprint:"test"
@@ -711,7 +692,9 @@ let test_certify_milp_replays_search () =
       in
       Alcotest.(check string) (what ^ ": milp goals") "milp-goals"
         (proof_kind cert))
-    [ (1, [ 4; 8; 8; 1 ]); (2, [ 6; 10; 10; 1 ]) ]
+    [ (4, [ 3; 6; 6; 1 ], 0.01);
+      (1, [ 4; 8; 8; 1 ], 0.1);
+      (2, [ 6; 10; 10; 1 ], 0.1) ]
 
 let test_certify_unsafe_and_undecided () =
   let net = Gen.fig2_net () and prop = fig2_prop ~lo:(-1.) ~hi:1. in
@@ -818,8 +801,6 @@ let () =
           Alcotest.test_case "safe bare" `Quick test_certify_safe_bare;
           Alcotest.test_case "reuse slack" `Quick test_certify_reuse_slack;
           Alcotest.test_case "milp fallback" `Quick test_certify_milp_fallback;
-          Alcotest.test_case "milp replays the search" `Quick
-            test_certify_milp_replays_search;
           Alcotest.test_case "unsafe and undecided" `Quick
             test_certify_unsafe_and_undecided;
           Alcotest.test_case "strategy report" `Quick
